@@ -4,8 +4,9 @@ The plan compiler (:mod:`repro.core.plan`) targets exactly the workload
 Prop. 3.1 makes common: one cached schedule executed many times
 (persistent collectives, the paper's 31-run measurement loops).  This
 benchmark times repeated executions of a cached combining alltoall on a
-3D torus in both modes — lowered :class:`ExecPlan` kernels versus the
-per-call interpreted block sets (``plans_disabled()``) — for
+3D torus in both modes — the compiled plan's kernels on the lockstep
+backend versus the reference walk of the schedule's block sets
+(:func:`~repro.core.backend.reference.run_reference`) — for
 
 * a **regular** contiguous layout (where lowering degrades to single
   slice copies and mostly removes per-round Python), and
@@ -13,13 +14,13 @@ per-call interpreted block sets (``plans_disabled()``) — for
   gaps, so nothing coalesces) where the vectorized gather/scatter index
   kernels replace hundreds of per-run Python copies.
 
-Acceptance (the ISSUE's bar): the compiled path is at least **3x**
-faster on the fragmented w case, and produces byte-identical buffers
-across the threaded, lockstep and shm backends.
+Acceptance: the compiled path is at least **3x** faster on the
+fragmented w case, and the threaded, lockstep and shm backends produce
+the reference walk's buffers byte for byte.
 
 A second test times the **batched** backend — the whole mesh as one
-data-parallel numpy program — against the interpreted lockstep executor
-on a (8, 8, 8) torus combining alltoallw (512 ranks).  Its bar is
+data-parallel numpy program — against the reference walk on a (8, 8, 8)
+torus combining alltoallw (512 ranks).  Its bar is
 **10x**, and its ``batched-w`` case rides the same perf gate.
 
 Results are persisted twice: a human-readable table
@@ -46,6 +47,7 @@ from benchmarks.conftest import write_artifact, write_json_artifact
 from repro.core import plan as plan_mod
 from repro.core.alltoall_schedule import build_alltoall_schedule
 from repro.core.backend import get_backend
+from repro.core.backend.reference import run_reference
 from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import moore_neighborhood
 from repro.core.topology import CartTopology
@@ -128,49 +130,43 @@ def _cases():
 
 
 def _time_case(topo, sched, send_total, recv_total):
-    """Best-of wall time per execution, compiled and interpreted, on the
-    deterministic lockstep executor (identical driver code on both
-    sides, so the delta is the pack/unpack and peer-resolution path)."""
+    """Best-of wall time per execution, compiled and interpreted: the
+    lockstep backend running the plan against the reference walk of the
+    block sets (the same lockstep driver and exchange on both sides, so
+    the delta is the pack/unpack and peer-resolution path)."""
     backend = get_backend("lockstep")
     bufs = _make_bufs(topo.size, send_total, recv_total)
 
-    def run():
+    def compiled():
         backend.execute_all(topo, sched, bufs)
 
-    with plan_mod.plans_forced():
-        run()  # warm the per-rank plan cache once, like a real caller
-        compiled_s = _best_of(run, REPS)
-    with plan_mod.plans_disabled():
-        run()
-        interpreted_s = _best_of(run, REPS)
+    def interpreted():
+        run_reference(topo, sched, bufs)
+
+    compiled()  # warm the plan cache once, like a real caller
+    compiled_s = _best_of(compiled, REPS)
+    interpreted()
+    interpreted_s = _best_of(interpreted, REPS)
     return compiled_s, interpreted_s
 
 
 def _certify_backends(topo, sched, send_total, recv_total):
-    """Byte-identical recv buffers across every backend, compiled and
-    interpreted."""
-    reference = None
-    modes = [("compiled", plan_mod.plans_forced)]
-    modes.append(("interpreted", plan_mod.plans_disabled))
-    certified = []
+    """Every backend's recv buffers are byte-identical to the reference
+    walk's."""
+    bufs = _make_bufs(topo.size, send_total, recv_total)
+    run_reference(topo, sched, bufs)
+    reference = [b["recv"].copy() for b in bufs]
+    certified = ["reference"]
     for backend_name in ("threaded", "lockstep", "shm"):
         if backend_name == "shm" and not HAVE_FORK:
             continue
-        backend = get_backend(backend_name)
-        for mode_name, scope in modes:
-            bufs = _make_bufs(topo.size, send_total, recv_total)
-            with scope():
-                backend.execute_all(topo, sched, bufs)
-            got = [b["recv"].copy() for b in bufs]
-            if reference is None:
-                reference = got
-            else:
-                for r in range(topo.size):
-                    assert np.array_equal(reference[r], got[r]), (
-                        f"divergence at rank {r}: {backend_name}/"
-                        f"{mode_name} vs reference"
-                    )
-            certified.append(f"{backend_name}/{mode_name}")
+        bufs = _make_bufs(topo.size, send_total, recv_total)
+        get_backend(backend_name).execute_all(topo, sched, bufs)
+        for r in range(topo.size):
+            assert np.array_equal(reference[r], bufs[r]["recv"]), (
+                f"divergence at rank {r}: {backend_name} vs reference"
+            )
+        certified.append(f"{backend_name}/compiled")
     return certified
 
 
@@ -280,14 +276,14 @@ def test_plan_speedup_and_parity():
 
     # the ISSUE's acceptance bar: >= 3x on the fragmented w layout
     assert speedups["fragmented-w"] >= 3.0, text
-    # plans must have been compiled once per rank and reused thereafter
+    # one plan per schedule, reused by every rank thereafter
     assert info.misses > 0 and info.hits > info.misses, info
 
 
 def test_batched_backend_speedup():
-    """The batched backend vs the interpreted lockstep executor on a
-    (8, 8, 8) torus combining alltoallw — the workload ROADMAP item 1
-    calls out.  Bar: >= 10x, byte-identical results, balanced pool."""
+    """The batched backend vs the reference walk on a (8, 8, 8) torus
+    combining alltoallw — the workload ROADMAP item 1 calls out.  Bar:
+    >= 10x, byte-identical results, balanced pool."""
     nbh = moore_neighborhood(3, 1, include_self=False)
     send_layout, s_total = _fragmented_layout(
         nbh.t, "send", pieces=BATCHED_PIECES
@@ -298,18 +294,16 @@ def test_batched_backend_speedup():
     topo = CartTopology(BATCHED_DIMS)
     sched = build_alltoall_schedule(nbh, send_layout, recv_layout).prepare()
     batched = get_backend("batched")
-    lockstep = get_backend("lockstep")
     pool_before = plan_mod.GLOBAL_POOL.stats().outstanding_bytes
 
-    # parity first: identical inputs through both executors
+    # parity first: identical inputs through both executions
     a = _make_bufs(topo.size, s_total, r_total)
     b = _make_bufs(topo.size, s_total, r_total)
-    with plan_mod.plans_forced():
-        batched.execute_all(topo, sched, a)
-        lockstep.execute_all(topo, sched, b)
+    batched.execute_all(topo, sched, a)
+    run_reference(topo, sched, b)
     for r in range(topo.size):
         assert np.array_equal(a[r]["recv"], b[r]["recv"]), (
-            f"batched diverges from lockstep at rank {r}"
+            f"batched diverges from the reference at rank {r}"
         )
 
     bufs = _make_bufs(topo.size, s_total, r_total)
@@ -318,18 +312,16 @@ def test_batched_backend_speedup():
         batched.execute_all(topo, sched, bufs)
 
     def run_interpreted():
-        lockstep.execute_all(topo, sched, bufs)
+        run_reference(topo, sched, bufs)
 
-    with plan_mod.plans_forced():
-        run_batched()  # plan cache is warm from the parity pass anyway
-        batched_s = _best_of(run_batched, REPS)
-    with plan_mod.plans_disabled():
-        interpreted_s = _best_of(run_interpreted, 1 if SMOKE else 2)
+    run_batched()  # plan cache is warm from the parity pass anyway
+    batched_s = _best_of(run_batched, REPS)
+    interpreted_s = _best_of(run_interpreted, 1 if SMOKE else 2)
     speedup = interpreted_s / batched_s
 
     p = topo.size
     lines = [
-        "batched backend vs interpreted lockstep",
+        "batched backend vs the reference walk",
         f"combining alltoallw, {BATCHED_DIMS} torus (p={p}), Moore "
         f"t={nbh.t}, {BATCHED_PIECES} fragments/block, smoke={SMOKE}",
         "",
@@ -353,7 +345,7 @@ def test_batched_backend_speedup():
                 "compiled_s": batched_s,
                 "speedup": speedup,
                 "wire_bytes_per_rank": sched.volume_bytes,
-                "certified": ["lockstep/compiled", "batched/compiled"],
+                "certified": ["reference", "batched/compiled"],
             }
         ],
     }

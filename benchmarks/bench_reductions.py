@@ -9,7 +9,8 @@ The headline measurement is **batched fused-kernel reduce vs the
 interpreted path**: one combining reduce on an (8, 8, 8) torus driven
 by the batched SPMD backend (every round a shared kernel over the
 ``(p, n)`` matrix, combines fused into the unpack) against the same
-schedule interpreted rank by rank under ``plans_disabled()``.  The bar
+schedule interpreted rank by rank by the reference walk
+(:func:`~repro.core.backend.reference.run_reference`).  The bar
 is **5x**, and with ``REPRO_PERF_GATE=1`` the speedup is additionally
 gated against the committed baseline
 (``benchmarks/BENCH_reductions.json``) so a regression in the fused
@@ -30,7 +31,7 @@ from benchmarks.conftest import write_artifact, write_json_artifact
 from repro.core import plan as plan_mod
 from repro.core.api import run_cartesian
 from repro.core.backend import get_backend
-from repro.core.plan import plans_disabled
+from repro.core.backend.reference import run_reference
 from repro.core.reduce_schedule import build_reduce_schedule
 from repro.core.stencils import moore_neighborhood, parameterized_stencil
 from repro.core.topology import CartTopology
@@ -123,8 +124,8 @@ def _reduce_bufs(p, m_bytes):
 
 def measured_batched_reduce():
     """Time one combining reduce on the measured torus: batched fused
-    kernels (compiled ``BatchedReduceRound`` + ``CombineProgram``) vs
-    the interpreted per-rank lockstep driver with plans disabled.
+    kernels (compiled ``BatchedReduceRound``) vs the reference walk,
+    which interprets the block sets and combine steps rank by rank.
     Returns the payload row; asserts bit parity between the paths."""
     nbh = moore_neighborhood(3, 1, include_self=False)  # t = 26
     m_bytes = MEASURED_ELEMS * 8
@@ -138,8 +139,7 @@ def measured_batched_reduce():
     bufs_b = _reduce_bufs(p, m_bytes)
     batched.execute_all(topo, sched, bufs_b)
     bufs_i = _reduce_bufs(p, m_bytes)
-    with plans_disabled():
-        batched.execute_all(topo, sched, bufs_i)
+    run_reference(topo, sched, bufs_i)
     for r in range(p):
         assert np.array_equal(bufs_b[r]["recv"], bufs_i[r]["recv"]), (
             f"batched/interpreted divergence at rank {r}"
@@ -149,8 +149,7 @@ def measured_batched_reduce():
     t_batched = _best_of(lambda: batched.execute_all(topo, sched, bufs), REPS)
 
     def interpreted():
-        with plans_disabled():
-            batched.execute_all(topo, sched, bufs)
+        run_reference(topo, sched, bufs)
 
     t_interp = _best_of(interpreted, max(2, REPS // 2))
     return {

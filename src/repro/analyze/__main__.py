@@ -12,9 +12,9 @@ Two subcommands, both CI gates:
     Verify one stencil/torus combination (all kinds unless ``--kind``).
 
 ``python -m repro.analyze effects --all-stencils``
-    Run only the byte-interval effect system (V701-V709) over both the
-    per-rank and batched lowerings of every paper stencil; exit 1 on
-    any violation.
+    Run only the byte-interval effect system (V701-V709) over the plan
+    of every paper stencil, per rank view and all-ranks; exit 1 on any
+    violation.
 
 ``python -m repro.analyze lint <paths...>``
     Run the custom concurrency/typing lint (rules L001-L009).
@@ -114,7 +114,7 @@ def _cmd_effects(ns: argparse.Namespace) -> int:
                     print(f"      {v.describe()}")
         print(
             f"{len(results) - bad}/{len(results)} stencil/kind combinations "
-            "effect-certified (per-rank + batched lowerings)"
+            "effect-certified (rank views + all-ranks plan)"
         )
         return 1 if bad else 0
 
@@ -186,7 +186,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_effects.add_argument(
         "--all-stencils",
         action="store_true",
-        help="effect-check both lowerings of every paper stencil",
+        help="effect-check the plan of every paper stencil",
     )
     p_effects.add_argument("--stencil", help="stencil name, e.g. 9-point")
     p_effects.add_argument(

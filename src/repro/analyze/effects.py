@@ -30,8 +30,9 @@ V806  a fused combine kernel has order-dependent effects (double
 ====  ==============================================================
 
 Reduction schedules thread their accumulator state through the fused
-combine kernels (:class:`~repro.core.plan.CombineProgram` per rank,
-:class:`~repro.core.plan.BatchedReduceRound` for the all-ranks form):
+combine kernels (:class:`~repro.core.plan.CombineProgram` per liveness
+pattern, :class:`~repro.core.plan.BatchedReduceRound` for the all-ranks
+form):
 the pre-step seed program writes before phase 0 and each phase's fold
 program writes after its delivery, so the lifetime ledger (V709) counts
 those writes exactly where the interpreter performs them.
@@ -63,7 +64,7 @@ from repro.core.plan import (
     CombineProgram,
     CompiledBlockSet,
     CompiledCopyProgram,
-    ExecPlan,
+    RankView,
 )
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
@@ -381,7 +382,7 @@ def check_batched_combine(
 
 
 # ---------------------------------------------------------------------------
-# per-rank plan rounds: disjointness + lifetime
+# one rank's view of the plan: disjointness + lifetime
 # ---------------------------------------------------------------------------
 
 
@@ -399,17 +400,18 @@ def _overlap_by_buffer(
 
 
 def check_plan_effects(
-    plan: ExecPlan,
+    view: RankView,
     sizes: Mapping[str, int],
     report: VerificationReport,
     *,
     periodic: bool,
-    rank: Optional[int] = None,
     check_kernels: bool = True,
 ) -> None:
-    """Effect-check one per-rank :class:`ExecPlan`: per-round kernel
+    """Effect-check one rank's view of the plan
+    (:meth:`~repro.core.plan.BatchedPlan.rank_view`): per-round kernel
     soundness, per-phase send/recv disjointness (V702/V703) and, on
     fully periodic tori, the scratch lifetime discipline (V709)."""
+    rank = view.rank
     written: dict[str, IntervalSet] = {
         name: IntervalSet([(0, int(cap))])
         for name, cap in sizes.items()
@@ -439,9 +441,10 @@ def check_plan_effects(
         for name, ivs in writes_c.items():
             written[name] = written.get(name, IntervalSet()).union(ivs)
 
-    if plan.pre_program is not None:
-        apply_combine(plan.pre_program, None)
-    for pi, phase in enumerate(plan.phases):
+    combines = view.combines
+    if combines is not None and combines.pre is not None:
+        apply_combine(combines.pre, None)
+    for pi, phase in enumerate(view.phases):
         reads: list[tuple[int, Mapping[str, IntervalSet]]] = []
         writes: list[tuple[int, Mapping[str, IntervalSet]]] = []
         for ri, rnd in enumerate(phase):
@@ -507,14 +510,14 @@ def check_plan_effects(
         # the phase's fold program runs after its waitall: its staging
         # reads see the phase's deliveries, its accumulator writes feed
         # the next phase's packs
-        combine = plan.combine_programs[pi]
+        combine = combines.phases[pi] if combines is not None else None
         if combine is not None:
             apply_combine(combine, pi)
     if periodic:
         prog_reads: dict[str, list[SelectorSummary]] = {}
-        for src, _dst, src_sel, _dst_sel in plan.copy_program._sel_ops:
+        for src, _dst, src_sel, _dst_sel in view.copy_program._sel_ops:
             prog_reads.setdefault(src, []).append(summarize_selector(src_sel))
-        for src, _dst, src_off, _dst_off, n in plan.copy_program._run_ops:
+        for src, _dst, src_off, _dst_off, n in view.copy_program._run_ops:
             prog_reads.setdefault(src, []).append(
                 summarize_selector(slice(src_off, src_off + n))
             )
@@ -857,20 +860,40 @@ def check_shm_layout(
 # ---------------------------------------------------------------------------
 
 
+def liveness_classes(bplan: BatchedPlan) -> list[int]:
+    """One representative rank per liveness class: ranks whose send and
+    receive halves exist in the same rounds run identical kernels and
+    combine programs, so checking one of them checks the class.  A torus
+    has one class, a mesh one per boundary class."""
+    columns = [
+        vec >= 0
+        for phase in bplan.phases
+        for rnd in phase
+        for vec in (rnd.sources, rnd.targets)
+    ]
+    if not columns:
+        return [0]
+    _, first = np.unique(
+        np.stack(columns, axis=1), axis=0, return_index=True
+    )
+    return sorted(int(r) for r in first)
+
+
 def run_effect_checks(
     schedule: Schedule,
     topo: CartTopology,
     report: VerificationReport,
     *,
     sizes: Optional[Mapping[str, int]] = None,
-    sample_limit: int = 16,
+    bplan: Optional[BatchedPlan] = None,
 ) -> None:
-    """Append every effect-system violation of ``schedule``'s lowerings
-    to ``report``: per-rank plans over sampled ranks (violations
-    deduplicated across ranks — the kernels are rank-independent),
-    the batched plan, the fused copy program and the shm segment
-    layout."""
-    from repro.analyze.schedule_verifier import _plan_sizes, _sample_ranks
+    """Append every effect-system violation of ``schedule``'s plan to
+    ``report``: one rank view per liveness class (violations
+    deduplicated across classes — the kernels are shared), the
+    all-ranks form, the fused copy program and the shm segment layout.
+    ``bplan`` is the plan to check; by default the cached plan for
+    ``sizes``."""
+    from repro.analyze.schedule_verifier import _plan_sizes
 
     if sizes is None:
         sizes = _plan_sizes(schedule)
@@ -885,44 +908,34 @@ def run_effect_checks(
                 seen.add(key)
                 report.violations.append(v)
 
-    # a schedule bad enough that a lowering *refuses to compile* is
-    # already reported by the structural/lowering checks (and by
-    # certify-on-build); the effect system only reasons about artifacts
-    # that exist, so compile refusals are skipped, not re-reported
+    def new_report() -> VerificationReport:
+        return VerificationReport(
+            kind=report.kind, dims=report.dims, periods=report.periods
+        )
+
+    # a schedule bad enough that lowering *refuses to compile* is already
+    # reported by the structural/lowering checks (and by certify-on-
+    # build); the effect system only reasons about artifacts that exist,
+    # so compile refusals are skipped, not re-reported
     from repro.mpisim.exceptions import ScheduleError
 
-    plan: Optional[ExecPlan] = None
-    try:
-        for rank in _sample_ranks(topo.size, sample_limit):
-            plan, _ = plan_mod.get_or_compile(
-                schedule, topo, rank, sizes=sizes
+    if bplan is None:
+        try:
+            bplan, _ = plan_mod.get_or_compile_batched(
+                schedule, topo, sizes=sizes
             )
-            sub = VerificationReport(
-                kind=report.kind, dims=report.dims, periods=report.periods
-            )
+        except ScheduleError:
+            bplan = None
+    if bplan is not None:
+        for rank in liveness_classes(bplan):
+            sub = new_report()
             check_plan_effects(
-                plan, sizes, sub, periodic=periodic, rank=rank
+                bplan.rank_view(rank), sizes, sub, periodic=periodic
             )
             merge(sub)
-    except ScheduleError:
-        plan = None
-    if plan is not None:
-        sub = VerificationReport(
-            kind=report.kind, dims=report.dims, periods=report.periods
-        )
-        check_copy_program(plan.copy_program, sizes, sub)
-        merge(sub)
-    try:
-        bplan, _ = plan_mod.get_or_compile_batched(
-            schedule, topo, sizes=sizes
-        )
-    except ScheduleError:
-        bplan = None
-    if bplan is not None:
-        sub = VerificationReport(
-            kind=report.kind, dims=report.dims, periods=report.periods
-        )
-        # the batched kernels are the same compiled objects checked above
+        sub = new_report()
+        check_copy_program(bplan.copy_program, sizes, sub)
+        # the all-ranks kernels are the same objects checked above
         check_batched_effects(bplan, sub, check_kernels=False)
         merge(sub)
     from repro.core.backend.shm import compute_segment_layout
@@ -934,9 +947,7 @@ def run_effect_checks(
         )
     except ScheduleError:
         return
-    sub = VerificationReport(
-        kind=report.kind, dims=report.dims, periods=report.periods
-    )
+    sub = new_report()
     check_shm_layout(buffer_table, slots, topo.size, total, sub)
     merge(sub)
 
@@ -966,7 +977,7 @@ def verify_effects(
 def sweep_effects() -> list[
     tuple[str, str, tuple[int, ...], VerificationReport]
 ]:
-    """Effect-verify both lowerings of every sweep kind for every paper
+    """Effect-verify the plan of every sweep kind for every paper
     stencil — the ``repro.analyze effects --all-stencils`` sweep."""
     from repro.analyze.schedule_verifier import (
         SWEEP_KINDS,
@@ -1000,6 +1011,7 @@ __all__ = [
     "check_batched_round",
     "check_batched_effects",
     "check_shm_layout",
+    "liveness_classes",
     "run_effect_checks",
     "verify_effects",
     "sweep_effects",

@@ -2,8 +2,8 @@
 
 A verifier that has never seen a bug is untested hypothesis.  This
 module is the adversary: it takes *real* artifacts — the compiled
-9-point alltoall plan on a 4×4 torus, the batched lowering, the shm
-segment layout, and the actual sources of ``lockstep.py`` / ``plan.py``
+9-point alltoall plan on a 4×4 torus (one rank's view of it and the
+all-ranks form), the shm segment layout, and the actual sources of ``lockstep.py`` / ``plan.py``
 / ``mailbox.py`` — applies one seeded corruption at a time (alias two
 recv intervals, shift an unpack offset, swap batched rows, drop a
 release, invert a lock order, …), and demands that the analyzer kill
@@ -36,14 +36,14 @@ from repro.analyze.effects import (
 )
 from repro.analyze.linearity import analyze_source
 from repro.analyze.report import VerificationReport
+from repro.analyze.schedule_verifier import check_plan_peers
 from repro.core import plan as plan_mod
 from repro.core.plan import (
     BatchedPlan,
     BatchedRound,
     CompiledBlockSet,
-    CompiledCopyProgram,
-    ExecPlan,
-    PlanRound,
+    RankRound,
+    RankView,
 )
 from repro.core.topology import CartTopology
 
@@ -73,28 +73,26 @@ class _Fixture:
         self.topo = CartTopology(_DIMS, _PERIODS)
         self.schedule = build_for_kind("alltoall", nbh)
         self.sizes: dict[str, int] = dict(_plan_sizes(self.schedule))
-        plan, _ = plan_mod.get_or_compile(
-            self.schedule, self.topo, 0, sizes=self.sizes
-        )
-        self.plan: ExecPlan = plan
         bplan, _ = plan_mod.get_or_compile_batched(
             self.schedule, self.topo, sizes=self.sizes
         )
         self.bplan: BatchedPlan = bplan
+        #: rank 0's view: the shared kernels with rank 0's peers
+        self.plan: RankView = bplan.rank_view(0)
         # reduction fixtures: the combining reverse-tree reduce, its
-        # per-rank fused combine programs and the batched combine round
+        # fused combine programs and the batched combine round
         self.reduce_schedule = build_for_kind("reduce", nbh)
         self.reduce_sizes: dict[str, int] = dict(
             _plan_sizes(self.reduce_schedule)
         )
-        rplan, _ = plan_mod.get_or_compile(
-            self.reduce_schedule, self.topo, 0, sizes=self.reduce_sizes
-        )
-        self.reduce_plan: ExecPlan = rplan
         rbplan, _ = plan_mod.get_or_compile_batched(
             self.reduce_schedule, self.topo, sizes=self.reduce_sizes
         )
         self.reduce_bplan: BatchedPlan = rbplan
+        combines = rbplan.rank_combines(0)
+        assert combines is not None
+        #: rank 0's combine programs (pre-step seed, per-phase folds)
+        self.reduce_combines = combines
         shared = {n: c for n, c in self.sizes.items() if n != "temp"}
         self.buffer_table, self.slots, self.total = compute_segment_layout(
             self.schedule, [shared] * self.topo.size
@@ -110,7 +108,8 @@ class _Fixture:
     # -- baseline: the unmutated artifacts must be clean ----------------
     def check_baseline(self) -> None:
         rep = _report()
-        check_plan_effects(self.plan, self.sizes, rep, periodic=True, rank=0)
+        check_plan_peers(self.schedule, self.topo, self.bplan, rep)
+        check_plan_effects(self.plan, self.sizes, rep, periodic=True)
         check_copy_program(self.plan.copy_program, self.sizes, rep)
         for pi, phase in enumerate(self.bplan.phases):
             for ri, rnd in enumerate(phase):
@@ -120,11 +119,11 @@ class _Fixture:
         check_shm_layout(
             self.buffer_table, self.slots, self.topo.size, self.total, rep
         )
-        assert self.reduce_plan.pre_program is not None
+        assert self.reduce_combines.pre is not None
         check_combine_program(
-            self.reduce_plan.pre_program, self.reduce_sizes, rep, rank=0
+            self.reduce_combines.pre, self.reduce_sizes, rep, rank=0
         )
-        for pi, comb in enumerate(self.reduce_plan.combine_programs):
+        for pi, comb in enumerate(self.reduce_combines.phases):
             if comb is not None:
                 check_combine_program(
                     comb, self.reduce_sizes, rep, rank=0, phase=pi
@@ -159,7 +158,7 @@ class _Fixture:
                 )
 
     # -- structural helpers --------------------------------------------
-    def round_with(self, half: str) -> tuple[int, int, PlanRound]:
+    def round_with(self, half: str) -> tuple[int, int, RankRound]:
         for pi, phase in enumerate(self.plan.phases):
             for ri, rnd in enumerate(phase):
                 if getattr(rnd, half) is not None:
@@ -200,19 +199,11 @@ def _dup_first_op(kernel: CompiledBlockSet) -> CompiledBlockSet:
 
 
 def _replace_round(
-    plan: ExecPlan, pi: int, ri: int, **halves: Optional[CompiledBlockSet]
-) -> ExecPlan:
-    p2 = copy.copy(plan)
-    phases = [list(phase) for phase in plan.phases]
-    rnd = phases[pi][ri]
-    phases[pi][ri] = PlanRound(
-        rnd.source,
-        rnd.target,
-        halves.get("send", rnd.send),
-        halves.get("recv", rnd.recv),
-    )
-    p2.phases = tuple(tuple(phase) for phase in phases)
-    return p2
+    view: RankView, pi: int, ri: int, **halves: Optional[CompiledBlockSet]
+) -> RankView:
+    phases = [list(phase) for phase in view.phases]
+    phases[pi][ri] = phases[pi][ri]._replace(**halves)
+    return view._replace(phases=tuple(tuple(phase) for phase in phases))
 
 
 def _mut_batched(rnd: BatchedRound, **attrs: object) -> BatchedRound:
@@ -222,9 +213,9 @@ def _mut_batched(rnd: BatchedRound, **attrs: object) -> BatchedRound:
     return r2
 
 
-def _plan_codes(fx: _Fixture, plan: ExecPlan) -> set[str]:
+def _plan_codes(fx: _Fixture, view: RankView) -> set[str]:
     rep = _report()
-    check_plan_effects(plan, fx.sizes, rep, periodic=True, rank=0)
+    check_plan_effects(view, fx.sizes, rep, periodic=True)
     return rep.codes()
 
 
@@ -284,6 +275,21 @@ def _mutator(
         return fn
 
     return deco
+
+
+# -- V502: peer vectors -----------------------------------------------------
+
+
+@_mutator("peer-vector-shifted-by-one", "V502")
+def _m_peer_shift(fx: _Fixture) -> set[str]:
+    bplan = copy.copy(fx.bplan)
+    phases = [list(phase) for phase in bplan.phases]
+    rnd = phases[0][0]
+    phases[0][0] = _mut_batched(rnd, targets=np.roll(rnd.targets, 1))
+    bplan.phases = tuple(tuple(phase) for phase in phases)
+    rep = _report()
+    check_plan_peers(fx.schedule, fx.topo, bplan, rep)
+    return rep.codes()
 
 
 # -- V701: scatter/gather collisions ----------------------------------------
@@ -592,7 +598,7 @@ def _mut_combine(prog, **attrs):
 
 @_mutator("combine-duplicate-initializing-copy", "V806")
 def _m_combine_double_init(fx: _Fixture) -> set[str]:
-    prog = fx.reduce_plan.pre_program
+    prog = fx.reduce_combines.pre
     assert prog is not None and prog._copy_ops
     mutated = _mut_combine(prog, _copy_ops=prog._copy_ops + (prog._copy_ops[0],))
     rep = _report()
@@ -602,7 +608,7 @@ def _m_combine_double_init(fx: _Fixture) -> set[str]:
 
 @_mutator("combine-fold-aliases-accumulator", "V806")
 def _m_combine_fold_alias(fx: _Fixture) -> set[str]:
-    comb = next(c for c in fx.reduce_plan.combine_programs if c is not None)
+    comb = next(c for c in fx.reduce_combines.phases if c is not None)
     assert comb._op_ops
     src, soff, dst, doff, n = comb._op_ops[0]
     # fold a region into itself, shifted by half a block: src and dst

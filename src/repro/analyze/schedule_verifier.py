@@ -22,10 +22,11 @@ instantiates the schedule for every rank of the torus and checks:
 (d) **quantitative conformance** — round count ``C = Σ_k C_k`` and
     volume ``V = Σ_i z_i`` for the alltoall (Props. 3.1/3.2), tree-edge
     volume for the allgather (Prop. 3.3) (V401–V403);
-(e) **plan-lowering conformance** — the per-rank :class:`ExecPlan`
-    lowering of :mod:`repro.core.plan` preserves round structure, peer
-    resolution, pack/unpack bytes and local-copy results, so Props.
-    3.1–3.3 remain certified for the compiled form (V501–V504);
+(e) **plan-lowering conformance** — the rank-invariant plan of
+    :mod:`repro.core.plan` preserves round structure, peer resolution,
+    pack/unpack bytes and local-copy results, so Props. 3.1–3.3 remain
+    certified for the compiled form (V501–V504), and executing it
+    matches the reference block-set walk byte for byte (V506);
 
 plus a concrete **content simulation**: a single-threaded interpretation
 of the schedule over all ranks with rank-unique sentinel bytes, proving
@@ -55,6 +56,7 @@ from repro.analyze import match_graph
 from repro.analyze.report import VerificationReport
 from repro.core.allgather_schedule import AllgatherTree
 from repro.core.neighborhood import Neighborhood
+from repro.core.plan import BatchedPlan, get_or_compile_batched, translate_all
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import BlockRef, BlockSet
@@ -640,20 +642,11 @@ def _simulate_content(
 
 
 # ----------------------------------------------------------------------
-# check (e): plan-lowering conformance (V501-V504)
+# check (e): plan-lowering conformance (V501-V504, V506)
 # ----------------------------------------------------------------------
-#: ranks per torus actually lowered and byte-compared (corners always
-#: included); full coverage below this bound
-PLAN_SAMPLE_RANKS = 16
-
-
-def _sample_ranks(size: int, limit: int = PLAN_SAMPLE_RANKS) -> list[int]:
-    if size <= limit:
-        return list(range(size))
-    stride = max(1, size // (limit - 2))
-    picked = {0, size - 1}
-    picked.update(range(0, size, stride))
-    return sorted(picked)[:limit]
+# The plan is rank-invariant (Prop. 3.1): one set of kernels serves every
+# rank, so V501/V503/V504 run once on the shared kernels, and V502
+# checks every rank's peers in one vectorised pass.
 
 
 def _plan_sizes(schedule: Schedule) -> dict[str, int]:
@@ -675,261 +668,188 @@ def _sentinel_buffers(
     return out
 
 
-def _check_plan_lowering(
-    schedule: Schedule, topo: CartTopology, report: VerificationReport
-) -> None:
-    """Certify that lowering (:mod:`repro.core.plan`) is semantics-
-    preserving: for sampled ranks the compiled plan must keep the round
-    structure (V501), resolve exactly the peers ``topo.translate`` gives
-    (V502), pack/unpack byte-identically to the interpreted block sets
-    (V503), and its fused local-copy program must leave every buffer in
-    the state the schedule's sequential copies produce (V504).  A clean
-    pass re-certifies Props. 3.1-3.3 for the lowered form: structure,
-    peers and per-round bytes are unchanged, so the already-checked round
-    counts and volumes carry over."""
-    from repro.core.plan import compile_plan
-    from repro.mpisim.exceptions import ScheduleError
-
-    schedule.prepare()
-    sizes = _plan_sizes(schedule)
-    for rank in _sample_ranks(topo.size):
-        try:
-            plan = compile_plan(schedule, topo, rank, sizes)
-        except ScheduleError as exc:
-            report.add(
-                "V501",
-                f"plan lowering refused the schedule: {exc}",
-                rank=rank,
-            )
-            return
-        shape = tuple(len(ph) for ph in plan.phases)
-        want_shape = tuple(len(ph.rounds) for ph in schedule.phases)
-        if shape != want_shape:
-            report.add(
-                "V501",
-                f"plan has phase/round shape {shape}, schedule has "
-                f"{want_shape}",
-                rank=rank,
-            )
-            continue
-        buffers = _sentinel_buffers(sizes, seed=rank)
-        for pi, (ph, plan_rounds) in enumerate(
-            zip(schedule.phases, plan.phases)
-        ):
-            for ri, (rnd, pr) in enumerate(zip(ph.rounds, plan_rounds)):
-                target = topo.translate(rank, rnd.offset)
-                source = topo.translate(
-                    rank, tuple(-o for o in rnd.recv_source_offset)
-                )
-                if (pr.source, pr.target) != (source, target):
-                    report.add(
-                        "V502",
-                        f"plan resolves (source, target)=({pr.source}, "
-                        f"{pr.target}), translation gives ({source}, "
-                        f"{target})",
-                        rank=rank,
-                        phase=pi,
-                        round_index=ri,
-                    )
-                    continue
-                if (pr.send is None) != (target is None) or (
-                    pr.recv is None
-                ) != (source is None):
-                    report.add(
-                        "V501",
-                        "plan compiles a block program for a missing "
-                        "peer (or drops one for a present peer)",
-                        rank=rank,
-                        phase=pi,
-                        round_index=ri,
-                    )
-                    continue
-                if pr.send is not None:
-                    ref = rnd.send_blocks.pack(buffers)
-                    got = pr.send.pack(buffers)
-                    if got.tobytes() != ref:
-                        report.add(
-                            "V503",
-                            f"compiled pack produces different bytes "
-                            f"for the round to {rnd.offset}",
-                            rank=rank,
-                            phase=pi,
-                            round_index=ri,
-                        )
-                if pr.recv is not None:
-                    n = rnd.recv_blocks.total_nbytes
-                    if pr.recv.total_nbytes != n:
-                        report.add(
-                            "V503",
-                            f"compiled unpack expects "
-                            f"{pr.recv.total_nbytes} B, block set "
-                            f"carries {n} B",
-                            rank=rank,
-                            phase=pi,
-                            round_index=ri,
-                        )
-                        continue
-                    payload = np.random.default_rng(
-                        (rank * 31 + pi) * 31 + ri
-                    ).integers(0, 256, n).astype(np.uint8)
-                    ref_bufs = {k: v.copy() for k, v in buffers.items()}
-                    got_bufs = {k: v.copy() for k, v in buffers.items()}
-                    rnd.recv_blocks.unpack(ref_bufs, payload.tobytes())
-                    pr.recv.unpack_from(got_bufs, payload)
-                    if any(
-                        not np.array_equal(ref_bufs[k], got_bufs[k])
-                        for k in ref_bufs
-                    ):
-                        report.add(
-                            "V503",
-                            f"compiled unpack scatters different bytes "
-                            f"for the round to {rnd.offset}",
-                            rank=rank,
-                            phase=pi,
-                            round_index=ri,
-                        )
-        # V504: fused local-copy program vs. sequential schedule copies
-        ref_bufs = {k: v.copy() for k, v in buffers.items()}
-        got_bufs = {k: v.copy() for k, v in buffers.items()}
-        schedule.run_local_copies(ref_bufs)
-        moved = plan.run_local_copies(got_bufs)
-        if moved != schedule.local_copy_bytes:
-            report.add(
-                "V504",
-                f"plan reports {moved} B copied locally, schedule "
-                f"copies {schedule.local_copy_bytes} B",
-                rank=rank,
-            )
-        bad = [
-            k
-            for k in ref_bufs
-            if not np.array_equal(ref_bufs[k], got_bufs[k])
-        ]
-        if bad:
-            report.add(
-                "V504",
-                f"compiled local-copy program leaves buffer(s) "
-                f"{sorted(bad)} in a different state",
-                rank=rank,
-            )
-
-
-# ----------------------------------------------------------------------
-# check (f): batched-lowering conformance (V505-V506)
-# ----------------------------------------------------------------------
-
-
-def _check_batched_lowering(
+def check_plan_peers(
     schedule: Schedule,
     topo: CartTopology,
+    bplan: BatchedPlan,
     report: VerificationReport,
-    max_bytes: int = DEFAULT_CONTENT_BUDGET,
 ) -> None:
-    """Certify that the all-ranks batched lowering
-    (:class:`repro.core.plan.BatchedPlan`) agrees with the certified
-    per-rank plans: on sampled ranks, the batched peer arrays and kernel
-    shapes must match the rank's own compiled plan (V505), and — within
-    a byte budget — an end-to-end batched execution must leave every
-    rank's buffers byte-identical to the interpreted lockstep execution
-    of the same sentinel inputs (V506).  The comparison binds an
-    explicit sentinel ``temp`` buffer on both paths, so even scratch
-    staged through mesh-edge slots is compared bit-exactly."""
-    from repro.core.backend.lockstep import LockstepBackend
-    from repro.core.plan import compile_batched_plan, compile_plan
+    """V502: every rank's peers in every round are exactly what topology
+    translation gives — ``translate_all``, the vectorised
+    ``topo.translate``, for all ranks at once, and the scalar
+    ``topo.translate`` itself at the first and last rank."""
+    corners = sorted({0, topo.size - 1})
+    for pi, (ph, rounds) in enumerate(zip(schedule.phases, bplan.phases)):
+        for ri, (rnd, br) in enumerate(zip(ph.rounds, rounds)):
+            neg = tuple(-o for o in rnd.recv_source_offset)
+            for label, got, offset in (
+                ("sources", br.sources, neg),
+                ("targets", br.targets, rnd.offset),
+            ):
+                want = translate_all(topo, offset)
+                for r in corners:
+                    scalar = topo.translate(r, offset)
+                    want[r] = -1 if scalar is None else scalar
+                got = np.asarray(got)
+                if got.shape != want.shape:
+                    report.add(
+                        "V502",
+                        f"plan {label} have shape {got.shape}, the "
+                        f"topology has {topo.size} rank(s)",
+                        phase=pi,
+                        round_index=ri,
+                    )
+                    continue
+                bad = np.nonzero(got != want)[0]
+                if bad.size:
+                    r = int(bad[0])
+                    report.add(
+                        "V502",
+                        f"plan {label} differ from topology translation "
+                        f"on {bad.size} rank(s); rank {r} has "
+                        f"{int(got[r])}, translation gives {int(want[r])}",
+                        rank=r,
+                        phase=pi,
+                        round_index=ri,
+                    )
 
-    schedule.prepare()
-    sizes = _plan_sizes(schedule)
-    try:
-        bplan = compile_batched_plan(schedule, topo, sizes)
-    except Exception as exc:  # lowering itself must never fail
-        report.add("V505", f"batched lowering failed to compile: {exc}")
-        return
+
+def _check_plan_lowering(
+    schedule: Schedule,
+    topo: CartTopology,
+    bplan: BatchedPlan,
+    report: VerificationReport,
+) -> None:
+    """Certify that lowering (:mod:`repro.core.plan`) is semantics-
+    preserving: the plan keeps the round structure and compiles a kernel
+    exactly for the halves some rank uses (V501), resolves exactly the
+    peers ``topo.translate`` gives (V502), packs/unpacks byte-identically
+    to the block sets (V503), and its fused local-copy program leaves
+    every buffer in the state the schedule's sequential copies produce
+    (V504).  A clean pass re-certifies Props. 3.1-3.3 for the lowered
+    form: structure, peers and per-round bytes are unchanged, so the
+    already-checked round counts and volumes carry over."""
     shape = tuple(len(ph) for ph in bplan.phases)
     want_shape = tuple(len(ph.rounds) for ph in schedule.phases)
     if shape != want_shape:
         report.add(
-            "V505",
-            f"batched plan has phase/round shape {shape}, schedule has "
+            "V501",
+            f"plan has phase/round shape {shape}, schedule has "
             f"{want_shape}",
         )
         return
-    for rank in _sample_ranks(topo.size):
-        try:
-            plan = compile_plan(schedule, topo, rank, sizes)
-        except Exception:
-            # per-rank refusal is already reported by the V501 pass
-            return
-        for pi, (plan_rounds, batched_rounds) in enumerate(
-            zip(plan.phases, bplan.phases)
-        ):
-            for ri, (pr, br) in enumerate(
-                zip(plan_rounds, batched_rounds)
-            ):
-                bsrc = int(br.sources[rank])
-                btgt = int(br.targets[rank])
-                peers = (
-                    None if bsrc < 0 else bsrc,
-                    None if btgt < 0 else btgt,
+    check_plan_peers(schedule, topo, bplan, report)
+    sizes = bplan.sizes
+    buffers = _sentinel_buffers(sizes, seed=0)
+    for pi, (ph, rounds) in enumerate(zip(schedule.phases, bplan.phases)):
+        for ri, (rnd, br) in enumerate(zip(ph.rounds, rounds)):
+            if (br.send is None) != bool((br.targets < 0).all()) or (
+                br.recv is None
+            ) != bool((br.sources < 0).all()):
+                report.add(
+                    "V501",
+                    "plan compiles a block program for a missing peer "
+                    "(or drops one for a present peer)",
+                    phase=pi,
+                    round_index=ri,
                 )
-                if peers != (pr.source, pr.target):
+                continue
+            if br.send is not None:
+                ref = rnd.send_blocks.pack(buffers)
+                if br.send.pack(buffers).tobytes() != ref:
                     report.add(
-                        "V505",
-                        f"batched peers {peers} differ from the rank's "
-                        f"plan ({pr.source}, {pr.target})",
-                        rank=rank,
+                        "V503",
+                        f"compiled pack produces different bytes for the "
+                        f"round to {rnd.offset}",
+                        phase=pi,
+                        round_index=ri,
+                    )
+            if br.recv is not None:
+                n = rnd.recv_blocks.total_nbytes
+                if br.recv.total_nbytes != n:
+                    report.add(
+                        "V503",
+                        f"compiled unpack expects {br.recv.total_nbytes} B, "
+                        f"block set carries {n} B",
                         phase=pi,
                         round_index=ri,
                     )
                     continue
-                if pr.send is not None and (
-                    br.send is None
-                    or br.send.total_nbytes != pr.send.total_nbytes
+                payload = np.random.default_rng(pi * 31 + ri).integers(
+                    0, 256, n
+                ).astype(np.uint8)
+                ref_bufs = {k: v.copy() for k, v in buffers.items()}
+                got_bufs = {k: v.copy() for k, v in buffers.items()}
+                rnd.recv_blocks.unpack(ref_bufs, payload.tobytes())
+                br.recv.unpack_from(got_bufs, payload)
+                if any(
+                    not np.array_equal(ref_bufs[k], got_bufs[k])
+                    for k in ref_bufs
                 ):
                     report.add(
-                        "V505",
-                        "batched send kernel missing or sized unlike the "
-                        "rank's plan",
-                        rank=rank,
+                        "V503",
+                        f"compiled unpack scatters different bytes for the "
+                        f"round to {rnd.offset}",
                         phase=pi,
                         round_index=ri,
                     )
-                if pr.recv is not None and (
-                    br.recv is None
-                    or br.recv.total_nbytes != pr.recv.total_nbytes
-                ):
-                    report.add(
-                        "V505",
-                        "batched recv kernel missing or sized unlike the "
-                        "rank's plan",
-                        rank=rank,
-                        phase=pi,
-                        round_index=ri,
-                    )
-    # V506: end-to-end execution equivalence, within the byte budget
+    # V504: fused local-copy program vs. sequential schedule copies
+    ref_bufs = {k: v.copy() for k, v in buffers.items()}
+    got_bufs = {k: v.copy() for k, v in buffers.items()}
+    schedule.run_local_copies(ref_bufs)
+    moved = bplan.copy_program.run(got_bufs)
+    if moved != schedule.local_copy_bytes:
+        report.add(
+            "V504",
+            f"plan reports {moved} B copied locally, schedule copies "
+            f"{schedule.local_copy_bytes} B",
+        )
+    bad = [
+        k for k in ref_bufs if not np.array_equal(ref_bufs[k], got_bufs[k])
+    ]
+    if bad:
+        report.add(
+            "V504",
+            f"compiled local-copy program leaves buffer(s) {sorted(bad)} "
+            f"in a different state",
+        )
+
+
+def _check_batched_execution(
+    schedule: Schedule,
+    topo: CartTopology,
+    bplan: BatchedPlan,
+    report: VerificationReport,
+    max_bytes: int = DEFAULT_CONTENT_BUDGET,
+) -> None:
+    """V506: within a byte budget, an end-to-end execution of the plan
+    must leave every rank's buffers byte-identical to the reference
+    block-set walk (:func:`~repro.core.backend.reference.run_reference`)
+    of the same sentinel inputs.  The comparison binds an explicit
+    sentinel ``temp`` buffer on both paths, so even scratch staged
+    through mesh-edge slots is compared bit-exactly."""
+    from repro.core.backend.reference import run_reference
+    from repro.mpisim.datatypes import byte_view
+
     p = topo.size
-    per_rank_bytes = sum(sizes.values())
-    if p * per_rank_bytes > max_bytes:
+    sizes = bplan.sizes
+    if p * sum(sizes.values()) > max_bytes:
         return
     ref_bufs = [_sentinel_buffers(sizes, seed=r) for r in range(p)]
-    got_bufs = [
-        {k: v.copy() for k, v in ref_bufs[r].items()} for r in range(p)
-    ]
+    matrices = {
+        name: np.stack([ref_bufs[r][name] for r in range(p)])
+        for name in sizes
+    }
     try:
         # random sentinel bytes form NaN/inf patterns under float combine
         # dtypes; both paths run the identical numpy ops in identical
         # order, so the comparison stays bit-exact — only mute the noise
         with np.errstate(all="ignore"):
-            LockstepBackend().execute_all(topo, schedule, ref_bufs)
+            run_reference(topo, schedule, ref_bufs)
     except Exception:
-        # schedules the lockstep executor itself rejects are covered by
-        # the matching/aliasing checks; there is nothing to compare
+        # schedules the reference walk itself rejects are covered by the
+        # matching/aliasing checks; there is nothing to compare
         return
-    from repro.mpisim.datatypes import byte_view
-
-    matrices = {
-        name: np.stack([byte_view(got_bufs[r][name]) for r in range(p)])
-        for name in sizes
-    }
     try:
         with np.errstate(all="ignore"):
             bplan.execute(matrices)
@@ -937,7 +857,8 @@ def _check_batched_lowering(
     except Exception as exc:
         report.add(
             "V506",
-            f"batched execution raised {exc!r} where lockstep succeeded",
+            f"plan execution raised {exc!r} where the reference walk "
+            f"succeeded",
         )
         return
     for rank in range(p):
@@ -951,30 +872,40 @@ def _check_batched_lowering(
         if bad:
             report.add(
                 "V506",
-                f"batched execution leaves buffer(s) {sorted(bad)} in a "
-                f"different state than lockstep",
+                f"plan execution leaves buffer(s) {sorted(bad)} in a "
+                f"different state than the reference walk",
                 rank=rank,
             )
             return
 
 
-def verify_plan_lowering(
+def _run_plan_checks(
     schedule: Schedule,
-    dims: Sequence[int],
-    periods: Sequence[bool] | bool = True,
-) -> VerificationReport:
-    """Run only the plan-lowering conformance check (V501-V504)."""
-    dims_t = tuple(int(n) for n in dims)
-    if isinstance(periods, bool):
-        periods_t: tuple[bool, ...] = (periods,) * len(dims_t)
-    else:
-        periods_t = tuple(bool(p) for p in periods)
-    report = VerificationReport(
-        kind=schedule.kind, dims=dims_t, periods=periods_t
-    )
-    _check_plan_lowering(schedule, CartTopology(dims_t, periods_t), report)
-    report.checks_run.append("plan-lowering")
-    return report
+    topo: CartTopology,
+    report: VerificationReport,
+    max_bytes: int,
+) -> None:
+    """Lower the schedule once and run checks (e) and (g) on that plan."""
+    from repro.analyze.effects import run_effect_checks
+    from repro.mpisim.exceptions import ScheduleError
+
+    schedule.prepare()
+    sizes = _plan_sizes(schedule)
+    try:
+        bplan: Optional[BatchedPlan] = get_or_compile_batched(
+            schedule, topo, sizes=sizes
+        )[0]
+    except ScheduleError as exc:
+        report.add("V501", f"plan lowering refused the schedule: {exc}")
+        bplan = None
+    if bplan is not None:
+        _check_plan_lowering(schedule, topo, bplan, report)
+        _check_batched_execution(
+            schedule, topo, bplan, report, max_bytes=max_bytes
+        )
+        report.checks_run.append("plan-lowering")
+    run_effect_checks(schedule, topo, report, sizes=sizes, bplan=bplan)
+    report.checks_run.append("effects")
 
 
 # ----------------------------------------------------------------------
@@ -994,7 +925,7 @@ def verify_schedule(
     Returns a :class:`VerificationReport` listing *every* violation
     found; ``report.ok`` means the schedule is certified for the given
     ``(dims, periods)`` — including its plan-lowered form (``plans``
-    controls the V501-V504 pass).
+    controls the V5xx and V7xx passes).
     """
     dims_t = tuple(int(n) for n in dims)
     if isinstance(periods, bool):
@@ -1029,16 +960,7 @@ def verify_schedule(
         ):
             report.checks_run.append("content")
     if plans:
-        _check_plan_lowering(schedule, topo, report)
-        report.checks_run.append("plan-lowering")
-        _check_batched_lowering(
-            schedule, topo, report, max_bytes=max_content_bytes
-        )
-        report.checks_run.append("batched-lowering")
-        from repro.analyze.effects import run_effect_checks
-
-        run_effect_checks(schedule, topo, report)
-        report.checks_run.append("effects")
+        _run_plan_checks(schedule, topo, report, max_content_bytes)
     return report
 
 

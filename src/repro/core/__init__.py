@@ -24,9 +24,9 @@ Modules
     process-wide, thread-safe LRU of built schedules keyed by the
     canonical (kind, neighborhood, layout, block-signature) fingerprint.
 ``plan``
-    schedule lowering: per-rank ``ExecPlan`` compilation (precomputed
-    peers, vectorized pack/unpack kernels, fused local copies) and the
-    size-classed scratch ``BufferPool``.
+    schedule lowering: one rank-invariant ``BatchedPlan`` per schedule
+    (shared pack/unpack kernels, per-rank peer vectors, fused local
+    copies) and the size-classed scratch ``BufferPool``.
 ``backend``
     execution backends: the ``Transport`` verb protocol, the single
     schedule interpreter shared by every execution mode, and the
@@ -68,11 +68,9 @@ from repro.core.distgraph import (
 from repro.core.plan import (
     BufferPool,
     CompiledBlockSet,
-    ExecPlan,
-    compile_plan,
+    BatchedPlan,
+    compile_batched_plan,
     plan_cache_info,
-    plans_disabled,
-    plans_enabled,
 )
 from repro.core.schedule_cache import (
     ScheduleCache,
@@ -101,11 +99,9 @@ __all__ = [
     "dist_graph_create_adjacent",
     "BufferPool",
     "CompiledBlockSet",
-    "ExecPlan",
-    "compile_plan",
+    "BatchedPlan",
+    "compile_batched_plan",
     "plan_cache_info",
-    "plans_disabled",
-    "plans_enabled",
     "ScheduleCache",
     "cache_clear",
     "cache_info",

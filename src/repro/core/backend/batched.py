@@ -14,10 +14,6 @@ scatter.  Semantics are identical to lockstep (same pack-all-then-
 deliver discipline per phase, same plan kernels); only the Python-loop
 dimension is gone, which is what makes interactive large-mesh and
 netsim sweeps feasible.
-
-When plan lowering is disabled (``REPRO_PLANS=0`` /
-:func:`~repro.core.plan.plans_disabled`), there is nothing to batch and
-execution falls back to the interpreted lockstep driver.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ import numpy as np
 from repro.core import plan as plan_mod
 from repro.core.backend.base import Backend, TransportCapabilities
 from repro.core.backend.interpreter import CARTTAG
-from repro.core.backend.lockstep import LockstepBackend
 from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
 from repro.mpisim.datatypes import byte_view
@@ -78,12 +73,6 @@ class BatchedBackend(Backend):
                     f"layout on every rank: rank {r} has {sorted(got)} "
                     f"sizes differing from rank 0"
                 )
-        if not plan_mod.plans_enabled():
-            # nothing to batch without lowered plans — run interpreted
-            LockstepBackend().execute_all(
-                topo, schedule, rank_buffers, tag=tag, validate=validate
-            )
-            return
         if validate:
             # layouts are uniform, so one rank's validation covers all
             check = dict(rank_buffers[0])

@@ -10,10 +10,11 @@ here:
 
 * per round, the receive is posted before the send (so a self-send
   matches immediately);
-* source = ``translate(rank, -recv_source_offset)``, target =
-  ``translate(rank, offset)``; a missing source/target (non-periodic
-  mesh boundary) skips that half of the round — the halo semantics of
-  stencil codes;
+* source and target are the rank's row of the plan's peer vectors
+  (``translate(rank, -recv_source_offset)`` and ``translate(rank,
+  offset)``, resolved once at compile time); a missing source/target
+  (non-periodic mesh boundary) skips that half of the round — the halo
+  semantics of stencil codes;
 * one ``waitall`` completes each phase;
 * the final non-communication phase performs the rank-local copies.
 
@@ -31,9 +32,8 @@ import numpy as np
 
 from repro.core import plan as plan_mod
 from repro.core.backend.base import Transport, allocate_buffers
-from repro.core.schedule import LocalCombine, Schedule
+from repro.core.schedule import Schedule
 from repro.core.topology import CartTopology
-from repro.mpisim.datatypes import byte_view
 from repro.mpisim.exceptions import ScheduleError
 
 #: Tag used by Cartesian collective schedules (the paper's ``CARTTAG``);
@@ -43,7 +43,9 @@ CARTTAG = -7
 
 class ScheduleInterpreter:
     """Drives one execution of ``schedule`` for one rank over
-    ``transport``.
+    ``transport``, running the rank's view of the schedule's compiled
+    :class:`~repro.core.plan.BatchedPlan` (fetched from the plan cache
+    in :meth:`begin` unless injected as ``plan``).
 
     ``observe`` routes trace marks and progress updates through the
     transport (the blocking collectives do; split-phase operations
@@ -63,8 +65,7 @@ class ScheduleInterpreter:
         validate: bool = False,
         observe: bool = True,
         skip_empty_phases: bool = False,
-        plan: "plan_mod.ExecPlan | None" = None,
-        use_plans: bool | None = None,
+        plan: "plan_mod.BatchedPlan | None" = None,
     ) -> None:
         self.transport = transport
         self.topo = topo
@@ -83,14 +84,12 @@ class ScheduleInterpreter:
         self.validate = validate
         self.observe = observe
         self.skip_empty_phases = skip_empty_phases
-        #: the lowered execution plan (compiled or fetched in
-        #: :meth:`begin` unless injected here or disabled)
         self.plan = plan
         #: None until begin(); then True (cache hit) / False (compiled).
-        #: Stays None when lowering is disabled.
+        #: Stays None when the plan was injected.
         self.plan_hit: bool | None = None
-        self._use_plans = use_plans
-        self._peers: tuple | None = None
+        #: this rank's view of the plan (set in :meth:`begin`)
+        self.view: "plan_mod.RankView | None" = None
         #: wire bytes this execution packed / local bytes it copied
         #: (filled during the run; consumed by OpStats wiring)
         self.bytes_packed = 0
@@ -99,12 +98,6 @@ class ScheduleInterpreter:
         self._phase_index = 0
         self.pending: list[Any] = []
         self._finished = False
-        #: accumulator regions initialized so far (uncompiled reduction
-        #: path only): first write to a region copies, later ones apply
-        #: the combine operator — no identity element is materialized
-        self._inited: set[tuple[str, int, int]] = set()
-        self._combine_fn = None
-        self._combine_view_dtype = None
 
     # ------------------------------------------------------------------
     @property
@@ -117,36 +110,20 @@ class ScheduleInterpreter:
 
     # ------------------------------------------------------------------
     def begin(self) -> None:
-        """Prepare the schedule and open the (optional) trace region."""
+        """Fetch the plan, seed reduction accumulators and open the
+        (optional) trace region."""
         if self.validate:
             self.schedule.validate(self.buffers)
-        # Idempotent: cached schedules arrive prepared; one-shot
-        # schedules get their coalesced-copy plans computed before the
-        # timed phases.
-        self.schedule.prepare()
-        use_plans = (
-            self._use_plans
-            if self._use_plans is not None
-            else plan_mod.plans_enabled()
-        )
-        if self.plan is None and use_plans:
-            self.plan, self.plan_hit = plan_mod.get_or_compile(
-                self.schedule, self.topo, self.transport.rank, self.buffers
-            )
         if self.plan is None:
-            # Uncompiled path: peers still resolve once per (schedule,
-            # rank), not once per round per execution.
-            self._peers = plan_mod.peer_table(
-                self.schedule, self.topo, self.transport.rank
+            self.plan, self.plan_hit = plan_mod.get_or_compile_batched(
+                self.schedule, self.topo, self.buffers
             )
-        if self.schedule.is_reduction:
-            # Seed accumulators from the send buffer *before* phase 0
-            # posts any send (phase-0 rounds ship accumulator slots).
-            if self.plan is not None:
-                if self.plan.pre_program is not None:
-                    self.plan.pre_program.run(self.buffers)
-            else:
-                self._run_combine_steps(self.schedule.pre_steps, None)
+        self.view = self.plan.rank_view(self.transport.rank)
+        # Seed accumulators from the send buffer *before* phase 0 posts
+        # any send (phase-0 rounds ship accumulator slots).
+        combines = self.view.combines
+        if combines is not None and combines.pre is not None:
+            combines.pre.run(self.buffers)
         if self.observe:
             self.transport.mark(f"begin {self.schedule.kind}")
             self.transport.progress(op=self.schedule.kind)
@@ -157,10 +134,11 @@ class ScheduleInterpreter:
         Returns ``False`` when no phase remains to post.  This is the
         single phase/round interpretation loop of the library.
         """
-        phases = self.schedule.phases
+        assert self.view is not None
+        phases = self.view.phases
         while self._phase_index < len(phases):
-            phase = phases[self._phase_index]
-            if self.skip_empty_phases and not phase.rounds:
+            rounds = phases[self._phase_index]
+            if self.skip_empty_phases and not rounds:
                 self._phase_index += 1
                 continue
             if self.observe:
@@ -168,44 +146,16 @@ class ScheduleInterpreter:
             t = self.transport
             buffers = self.buffers
             pending: list[Any] = []
-            if self.plan is not None:
-                for round_index, pr in enumerate(
-                    self.plan.phases[self._phase_index]
-                ):
-                    seq = (self._phase_index, round_index)
-                    if pr.source is not None:
-                        pending.append(
-                            t.post_recv(
-                                pr.recv, buffers, pr.source, self.tag, seq
-                            )
-                        )
-                    if pr.target is not None:
-                        pending.append(
-                            t.post_send(
-                                pr.send, buffers, pr.target, self.tag, seq
-                            )
-                        )
-            else:
-                assert self._peers is not None
-                peers = self._peers[self._phase_index]
-                for round_index, rnd in enumerate(phase.rounds):
-                    source, target = peers[round_index]
-                    seq = (self._phase_index, round_index)
-                    if source is not None:
-                        pending.append(
-                            t.post_recv(
-                                rnd.recv_blocks, buffers, source,
-                                self.tag, seq,
-                            )
-                        )
-                    if target is not None:
-                        pending.append(
-                            t.post_send(
-                                rnd.send_blocks, buffers, target,
-                                self.tag, seq,
-                            )
-                        )
-                        self.bytes_packed += rnd.nbytes
+            for round_index, rr in enumerate(rounds):
+                seq = (self._phase_index, round_index)
+                if rr.source is not None:
+                    pending.append(
+                        t.post_recv(rr.recv, buffers, rr.source, self.tag, seq)
+                    )
+                if rr.target is not None:
+                    pending.append(
+                        t.post_send(rr.send, buffers, rr.target, self.tag, seq)
+                    )
             self.pending = pending
             return True
         return False
@@ -213,53 +163,33 @@ class ScheduleInterpreter:
     def complete_phase(self) -> None:
         """Complete the posted phase's operations and advance.
 
-        For reduction schedules, the phase's combine steps fold the
-        freshly received staging regions into their accumulators after
-        the ``waitall`` — sequentially, so every backend (threaded,
-        lockstep, batched, shm) applies the operator in the identical
-        deterministic order."""
+        For reduction schedules, the phase's fused combine program folds
+        the freshly received staging regions into their accumulators
+        after the ``waitall`` — in the same deterministic order on every
+        backend."""
+        assert self.view is not None
         self.transport.waitall(self.pending)
         self.pending = []
-        pi = self._phase_index
-        if self.schedule.is_reduction:
-            if self.plan is not None:
-                prog = self.plan.combine_programs[pi]
-                if prog is not None:
-                    prog.run(self.buffers)
-            else:
-                steps = self.schedule.phases[pi].combine_steps
-                if steps:
-                    assert self._peers is not None
-                    live = [
-                        source is not None
-                        for source, _target in self._peers[pi]
-                    ]
-                    self._run_combine_steps(steps, live)
+        combines = self.view.combines
+        if combines is not None:
+            prog = combines.phases[self._phase_index]
+            if prog is not None:
+                prog.run(self.buffers)
         self._phase_index += 1
 
     def finish(self) -> None:
         """The final non-communication phase: rank-local copies (and,
         for reductions, the check that every required output received at
         least one contribution)."""
-        if self.schedule.is_reduction:
-            missing = (
-                not self.plan.reduce_outputs_ok
-                if self.plan is not None
-                else any(
-                    (ref.buffer, ref.offset, ref.nbytes) not in self._inited
-                    for ref in self.schedule.required_outputs
-                )
+        assert self.view is not None
+        combines = self.view.combines
+        if combines is not None and not combines.outputs_ok:
+            raise ScheduleError(
+                "reduction received no contributions "
+                "(all neighbors off the mesh)"
             )
-            if missing:
-                raise ScheduleError(
-                    "reduction received no contributions "
-                    "(all neighbors off the mesh)"
-                )
-        if self.plan is not None:
-            moved = self.plan.run_local_copies(self.buffers)
-            self.bytes_packed = self.plan.wire_bytes
-        else:
-            moved = self.schedule.run_local_copies(self.buffers)
+        moved = self.view.copy_program.run(self.buffers)
+        self.bytes_packed = self.view.wire_bytes
         self.bytes_copied = moved
         if self.observe:
             if moved:
@@ -286,44 +216,6 @@ class ScheduleInterpreter:
             plan_mod.GLOBAL_POOL.release(self._pooled_temp)
             self._pooled_temp = None
         self._finished = True
-
-    # ------------------------------------------------------------------
-    def _run_combine_steps(
-        self,
-        steps: "list[LocalCombine]",
-        live: "list[bool] | None",
-    ) -> None:
-        """Uncompiled combine execution: apply each step in order, with
-        first-write-wins initialization and ``when_round`` gating
-        (``live[r]`` = round ``r`` of the current phase had an on-mesh
-        receive source; ``None`` for the ungated pre-steps)."""
-        if self._combine_fn is None:
-            from repro.core.reduce_schedule import resolve_op_token
-
-            self._combine_fn = resolve_op_token(self.schedule.combine_op)
-            self._combine_view_dtype = np.dtype(self.schedule.combine_dtype)
-        op = self._combine_fn
-        dt = self._combine_view_dtype
-        buffers = self.buffers
-        inited = self._inited
-        for step in steps:
-            if step.when_round is not None and not live[step.when_round]:
-                continue
-            if step.src.nbytes == 0:  # zero-size blocks carry no data
-                inited.add((step.dst.buffer, step.dst.offset, step.dst.nbytes))
-                continue
-            src = byte_view(buffers[step.src.buffer])[
-                step.src.offset : step.src.offset + step.src.nbytes
-            ].view(dt)
-            dst = byte_view(buffers[step.dst.buffer])[
-                step.dst.offset : step.dst.offset + step.dst.nbytes
-            ].view(dt)
-            key = (step.dst.buffer, step.dst.offset, step.dst.nbytes)
-            if key in inited:
-                dst[...] = op(dst, src)
-            else:
-                dst[...] = src
-                inited.add(key)
 
     # ------------------------------------------------------------------
     def run(self) -> None:

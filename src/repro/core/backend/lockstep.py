@@ -126,6 +126,35 @@ class LockstepTransport(Transport):
                 GLOBAL_POOL.release(payload)
 
 
+def run_lockstep(
+    interps: Sequence[Any], exchange: LockstepExchange, nphases: int
+) -> None:
+    """Drive one interpreter per rank over a shared exchange, phase by
+    phase: every rank posts (and packs) a phase before any rank delivers
+    it.  On failure every rank's pooled scratch is returned and the
+    payloads still on the wire are drained, so a failed run leaves
+    ``outstanding_bytes`` exactly where it found them."""
+    try:
+        for it in interps:
+            it.begin()
+        for _ in range(nphases):
+            # all ranks post (and pack) the phase first …
+            for it in interps:
+                it.post_next_phase()
+            # … then all ranks deliver it.
+            for it in interps:
+                it.complete_phase()
+        for it in interps:
+            it.finish()
+    except BaseException:
+        for it in interps:
+            it.abort()
+        for payload in exchange.messages.values():
+            GLOBAL_POOL.release(payload)
+        exchange.messages.clear()
+        raise
+
+
 class LockstepBackend(Backend):
     """All ranks in one process, phases interleaved across ranks."""
 
@@ -159,25 +188,4 @@ class LockstepBackend(Backend):
             )
             for r in range(p)
         ]
-        try:
-            for it in interps:
-                it.begin()
-            for _ in range(len(schedule.phases)):
-                # all ranks post (and pack) the phase first …
-                for it in interps:
-                    it.post_next_phase()
-                # … then all ranks deliver it.
-                for it in interps:
-                    it.complete_phase()
-            for it in interps:
-                it.finish()
-        except BaseException:
-            # return every rank's pooled scratch and drain the packed
-            # payloads still sitting on the wire, so a failed run leaves
-            # outstanding_bytes exactly where it found them
-            for it in interps:
-                it.abort()
-            for payload in exchange.messages.values():
-                GLOBAL_POOL.release(payload)
-            exchange.messages.clear()
-            raise
+        run_lockstep(interps, exchange, len(schedule.phases))

@@ -275,8 +275,7 @@ class CartComm:
             # Rank 0 drives every rank's execution, but each rank still
             # accounts one logical plan lookup per collective (the
             # per-rank path's contract): a hit unless driving the mesh
-            # compiled something new, ``None`` when plans are off and no
-            # lookup happened at all.
+            # compiled something new, ``None`` when no lookup happened.
             looked_up = (after.hits + after.misses) > (before.hits + before.misses)
             hit = (after.misses == before.misses) if looked_up else None
             for r in range(1, self.size):

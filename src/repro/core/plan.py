@@ -1,39 +1,47 @@
-"""Schedule lowering: per-rank execution plans and the buffer pool.
+"""Schedule lowering: the one rank-invariant execution plan.
 
-Proposition 3.1 makes a schedule pure, rank-independent data — which is
-what lets one object serve every rank — but executing it still paid
-per-call Python costs: ``topo.translate`` per round, a Python loop over
-coalesced runs per pack/unpack, and fresh temp/wire allocations per
-invocation.  This module *lowers* a prepared
-:class:`~repro.core.schedule.Schedule` into an immutable per-rank
-:class:`ExecPlan` in which all of that is precomputed:
+Proposition 3.1 makes a schedule pure, rank-independent data: every rank
+runs the same rounds, against peers that differ only by translation.
+This module lowers a prepared :class:`~repro.core.schedule.Schedule`
+into one immutable :class:`BatchedPlan` that stores exactly that, with
+every per-execution cost precomputed:
 
-* **peer ranks** — every round's (source, target) pair is resolved once
-  at compile time; rounds falling off a non-periodic mesh edge carry
-  ``None`` and compile no block program for the missing half;
-* **gather/scatter programs** — each round's block sets become
-  :class:`CompiledBlockSet` kernels: contiguous layouts degrade to a
-  single slice copy, fragmented ``v``/``w`` layouts become one numpy
-  fancy-indexing operation over precomputed ``int64`` index arrays, and
-  layouts with few large runs keep a precomputed slice loop (a handful
-  of big ``memcpy``\\ s beats byte-granular index gathering);
-* **a fused local-copy program** — the final non-communication phase is
-  compiled the same way (:class:`CompiledCopyProgram`), falling back to
-  the schedule's sequential order whenever source and destination
-  regions could interact;
-* **pooled scratch** — temp and lockstep wire buffers come from the
-  process-wide size-classed :class:`BufferPool` instead of ``np.empty``
-  per execution.
+* **shared kernels** — each round's block sets become
+  :class:`CompiledBlockSet` kernels, compiled once for all ranks:
+  contiguous layouts degrade to a single slice copy, fragmented
+  ``v``/``w`` layouts become one numpy fancy-indexing operation over
+  precomputed ``int64`` index arrays, and layouts with few large runs
+  keep a precomputed slice loop;
+* **peer vectors** — every round's sources and targets for all ranks as
+  ``(p,)`` ``int64`` vectors (:func:`translate_all`), ``-1`` where a
+  peer falls off a non-periodic mesh edge;
+* **a fused local-copy program** (:class:`CompiledCopyProgram`), falling
+  back to the schedule's sequential order whenever source and
+  destination regions could interact;
+* **combine kernels** for reductions — all-ranks
+  :class:`BatchedReduceRound` kernels, plus per-rank
+  :class:`CombineProgram` kernels compiled once per distinct liveness
+  pattern (one on a torus, one per mesh boundary class);
+* **per-rank wire bytes** as a ``(p,)`` vector;
+* **pooled scratch** — temp and wire buffers come from the process-wide
+  size-classed :class:`BufferPool` instead of ``np.empty`` per
+  execution.
+
+A rank's plan is the shared kernels plus row ``r`` of the peer vectors
+(:meth:`BatchedPlan.rank_view`).  The batched backend executes the whole
+plan as one data-parallel numpy program (:meth:`BatchedPlan.execute`);
+the :class:`~repro.core.backend.interpreter.ScheduleInterpreter` drives
+one rank's view over a transport, which is how the threaded, lockstep
+and shm backends and the split-phase front-ends run — the shm
+transport's ``pack_into`` packs straight into its shared-memory slot
+through the shared index arrays.
 
 Plans are cached on the schedule object itself (``Schedule._plans``)
-under a per-rank key, so they share the lifetime of the schedule-cache
-entry they belong to and are invalidated with it; compilation is
-single-flight under a module lock.  The
-:class:`~repro.core.backend.interpreter.ScheduleInterpreter` consumes
-plans transparently, which is how all three backends benefit — the shm
-transport's ``pack_into`` packs straight into its shared-memory slot
-through the plan's index arrays.  ``REPRO_PLANS=0`` disables lowering
-globally; :func:`plans_disabled` scopes that for comparisons.
+under ``(dims, periods, buffer signature)`` — no rank — so they share
+the lifetime of the schedule-cache entry they belong to and are
+invalidated with it; compilation is single-flight.  The uncompiled
+block-set walk survives once, as the named reference of
+:mod:`repro.core.backend.reference`.
 """
 
 from __future__ import annotations
@@ -43,12 +51,10 @@ import threading
 import time
 import weakref
 from collections import namedtuple
-from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Iterator,
     Mapping,
     Optional,
     Sequence,
@@ -76,8 +82,6 @@ _MIN_CLASS = 64
 
 _POOL_MAX_ENV = "REPRO_BUFFER_POOL_MAX"
 _DEFAULT_POOL_MAX = 64 << 20  # retained (idle) bytes cap
-
-_PLANS_ENV = "REPRO_PLANS"
 
 
 # ---------------------------------------------------------------------------
@@ -551,18 +555,15 @@ def compile_copies(
 # ---------------------------------------------------------------------------
 
 
-def _dtype_slice(off: int, nbytes: int, itemsize: int) -> slice:
-    """Byte region → element slice on a whole-buffer dtype view."""
-    return slice(off // itemsize, (off + nbytes) // itemsize)
-
-
 class CombineProgram:
-    """One rank's fused combine kernel for a step list (the pre-steps, or
-    one phase's post-``waitall`` folds), fully resolved at compile time.
+    """The fused combine kernel of a step list (the pre-steps, or one
+    phase's post-``waitall`` folds) for every rank of one liveness
+    pattern, fully resolved at compile time.
 
-    The compiler statically evaluates ``when_round`` gating (the peer
-    ranks are known) and first-write-wins initialization (the execution
-    order is known), so at run time only three op shapes remain:
+    The compiler statically evaluates ``when_round`` gating (the
+    pattern says which rounds have a receive source) and first-write-
+    wins initialization (the execution order is known), so at run time
+    only three op shapes remain:
 
     * ``copy`` — plain byte-slice copies (accumulator initialization);
     * ``op`` — sliced in-place ufunc applications over contiguous runs
@@ -677,8 +678,8 @@ def _compile_combine_program(
     inited: set[tuple[str, int, int]],
     sizes: Mapping[str, int],
 ) -> Optional[CombineProgram]:
-    """Lower one step list for one rank, mutating ``inited`` (the
-    rank's first-write-wins state threaded from the pre-steps through
+    """Lower one step list for one liveness pattern, mutating ``inited``
+    (the first-write-wins state threaded from the pre-steps through
     every phase)."""
     dt = np.dtype(schedule.combine_dtype)
     resolved: list[tuple["LocalCombine", bool]] = []
@@ -763,160 +764,47 @@ def _compile_combine_program(
     )
 
 
+#: One liveness pattern's combine programs: the pre-step seed program,
+#: one program per phase (``None`` where a phase folds nothing), and
+#: whether every required output ends up initialized (a mesh rank whose
+#: contributors all fell off the edge must raise at finish).
+RankCombines = namedtuple("RankCombines", ["pre", "phases", "outputs_ok"])
+
+
 def _compile_combines(
     schedule: "Schedule",
-    topo: "CartTopology",
-    rank: int,
+    live_by_phase: Sequence[Sequence[bool]],
     sizes: Mapping[str, int],
-) -> tuple[
-    Optional[CombineProgram], tuple[Optional[CombineProgram], ...], bool
-]:
-    """All combine programs of one rank: the pre-step seed program, one
-    program per phase, and whether every required output ends up
-    initialized (a mesh rank whose contributors all fell off the edge
-    must raise at finish, exactly like the dynamic path)."""
-    if not schedule.is_reduction:
-        return None, (None,) * len(schedule.phases), True
+) -> RankCombines:
+    """All combine programs of one liveness pattern (``live_by_phase[i]
+    [r]``: round ``r`` of phase ``i`` has an on-mesh receive source)."""
     inited: set[tuple[str, int, int]] = set()
     pre = _compile_combine_program(
         schedule, schedule.pre_steps, None, inited, sizes
     )
-    per_phase: list[Optional[CombineProgram]] = []
-    for phase in schedule.phases:
-        live = [
-            topo.translate(
-                rank, tuple(-o for o in rnd.recv_source_offset)
-            )
-            is not None
-            for rnd in phase.rounds
-        ]
-        per_phase.append(
-            _compile_combine_program(
-                schedule, phase.combine_steps, live, inited, sizes
-            )
+    per_phase = tuple(
+        _compile_combine_program(
+            schedule, phase.combine_steps, live, inited, sizes
         )
+        for phase, live in zip(schedule.phases, live_by_phase)
+    )
     outputs_ok = all(
         (ref.buffer, ref.offset, ref.nbytes) in inited
         for ref in schedule.required_outputs
     )
-    return pre, tuple(per_phase), outputs_ok
+    return RankCombines(pre, per_phase, outputs_ok)
 
 
 # ---------------------------------------------------------------------------
-# the plan
-# ---------------------------------------------------------------------------
-
-
-class PlanRound:
-    """One round with peers resolved and block programs compiled.
-
-    ``source``/``target`` are absolute ranks (``None`` off a
-    non-periodic mesh edge, in which case the corresponding program is
-    ``None`` too — the interpreter skips that half without translating
-    anything)."""
-
-    __slots__ = ("source", "target", "send", "recv")
-
-    def __init__(
-        self,
-        source: Optional[int],
-        target: Optional[int],
-        send: Optional[CompiledBlockSet],
-        recv: Optional[CompiledBlockSet],
-    ) -> None:
-        self.source = source
-        self.target = target
-        self.send = send
-        self.recv = recv
-
-    def __repr__(self) -> str:
-        return f"PlanRound(source={self.source}, target={self.target})"
-
-
-class ExecPlan:
-    """An immutable, per-rank lowering of one schedule.
-
-    Everything the interpreter needs per execution is precomputed: the
-    peer ranks of every round, the pack/unpack kernels, the fused
-    local-copy program, and the wire-byte total this rank actually sends
-    (mesh-boundary rounds excluded)."""
-
-    __slots__ = (
-        "kind",
-        "rank",
-        "key",
-        "phases",
-        "copy_program",
-        "pre_program",
-        "combine_programs",
-        "reduce_outputs_ok",
-        "temp_nbytes",
-        "wire_bytes",
-        "local_bytes",
-        "compile_seconds",
-    )
-
-    def __init__(
-        self,
-        kind: str,
-        rank: int,
-        key: tuple,
-        phases: Sequence[Sequence[PlanRound]],
-        copy_program: CompiledCopyProgram,
-        temp_nbytes: int,
-        wire_bytes: int,
-        compile_seconds: float,
-        pre_program: Optional[CombineProgram] = None,
-        combine_programs: Sequence[Optional[CombineProgram]] = (),
-        reduce_outputs_ok: bool = True,
-    ) -> None:
-        self.kind = kind
-        self.rank = rank
-        self.key = key
-        self.phases = tuple(tuple(rs) for rs in phases)
-        self.copy_program = copy_program
-        #: fused accumulator-seeding kernel (reductions; run in begin)
-        self.pre_program = pre_program
-        #: per-phase fused combine kernels (aligned with ``phases``;
-        #: ``None`` entries for phases with nothing to fold)
-        self.combine_programs = (
-            tuple(combine_programs)
-            if combine_programs
-            else (None,) * len(self.phases)
-        )
-        #: statically known: every required reduction output receives at
-        #: least one contribution on this rank
-        self.reduce_outputs_ok = reduce_outputs_ok
-        self.temp_nbytes = temp_nbytes
-        self.wire_bytes = wire_bytes
-        self.local_bytes = copy_program.nbytes
-        self.compile_seconds = compile_seconds
-
-    def run_local_copies(self, buffers: Mapping[str, np.ndarray]) -> int:
-        return self.copy_program.run(buffers)
-
-    @property
-    def num_rounds(self) -> int:
-        return sum(len(rs) for rs in self.phases)
-
-    def __repr__(self) -> str:
-        return (
-            f"ExecPlan({self.kind}, rank={self.rank}, "
-            f"phases={len(self.phases)}, rounds={self.num_rounds}, "
-            f"wire={self.wire_bytes} B)"
-        )
-
-
-# ---------------------------------------------------------------------------
-# compilation and the per-schedule plan cache
+# the per-schedule plan cache
 # ---------------------------------------------------------------------------
 
 _CACHE_LOCK = threading.Lock()
 #: (schedule identity, plan key) -> Event for compiles in flight: plan
 #: compilation is single-flight per key but runs *outside* the module
-#: lock, so concurrent compilation — distinct ranks, distinct schedules,
-#: the schedule service's worker pool — no longer serializes on one
-#: global lock.
+#: lock, so concurrent compilation — distinct schedules or layouts, the
+#: schedule service's worker pool — never serializes on one global
+#: lock.
 _BUILDING: dict[tuple, threading.Event] = {}
 _hits = 0
 _misses = 0
@@ -928,7 +816,7 @@ PlanCacheInfo = namedtuple(
 
 
 def invalidate_plans(schedule: "Schedule") -> None:
-    """Drop every cached plan/peer table of ``schedule`` and bump its
+    """Drop every cached plan of ``schedule`` and bump its
     plan generation (under the module lock), so a compile that was in
     flight when the invalidation happened can never file its result
     afterwards — the backing store of
@@ -994,123 +882,8 @@ def buffer_signature(sizes: Mapping[str, int]) -> tuple:
     return tuple(sorted(sizes.items()))
 
 
-def plan_key(rank: int, topo: "CartTopology", signature: tuple) -> tuple:
-    return ("plan", rank, topo.dims, topo.periods, signature)
-
-
-def compile_plan(
-    schedule: "Schedule",
-    topo: "CartTopology",
-    rank: int,
-    sizes: Mapping[str, int],
-) -> ExecPlan:
-    """Lower ``schedule`` for one rank (no caching — see
-    :func:`get_or_compile`)."""
-    t0 = time.perf_counter()
-    schedule.prepare()
-    phases: list[list[PlanRound]] = []
-    wire_bytes = 0
-    for phase in schedule.phases:
-        rounds: list[PlanRound] = []
-        for rnd in phase.rounds:
-            neg = tuple(-o for o in rnd.recv_source_offset)
-            source = topo.translate(rank, neg)
-            target = topo.translate(rank, rnd.offset)
-            send = recv = None
-            if target is not None:
-                send = compile_blockset(
-                    rnd.send_blocks.coalesced_runs(), sizes
-                )
-                wire_bytes += send.total_nbytes
-            if source is not None:
-                recv = compile_blockset(
-                    rnd.recv_blocks.coalesced_runs(), sizes
-                )
-            rounds.append(PlanRound(source, target, send, recv))
-        phases.append(rounds)
-    copy_program = compile_copies(schedule.prepared_copy_runs(), sizes)
-    pre_program, combine_programs, outputs_ok = _compile_combines(
-        schedule, topo, rank, sizes
-    )
-    key = plan_key(rank, topo, buffer_signature(sizes))
-    return ExecPlan(
-        schedule.kind,
-        rank,
-        key,
-        phases,
-        copy_program,
-        schedule.temp_nbytes,
-        wire_bytes,
-        time.perf_counter() - t0,
-        pre_program=pre_program,
-        combine_programs=combine_programs,
-        reduce_outputs_ok=outputs_ok,
-    )
-
-
-def get_or_compile(
-    schedule: "Schedule",
-    topo: "CartTopology",
-    rank: int,
-    buffers: Optional[Mapping[str, np.ndarray]] = None,
-    *,
-    sizes: Optional[Mapping[str, int]] = None,
-) -> tuple[ExecPlan, bool]:
-    """Return ``(plan, hit)`` — the cached per-rank plan or a freshly
-    compiled one.  Plans live on the schedule object itself, so they are
-    invalidated exactly when the schedule-cache entry is; compilation is
-    single-flight per key and runs outside the module lock, so compiles
-    for different ranks or schedules proceed concurrently."""
-    if sizes is None:
-        if buffers is None:
-            raise ValueError("need buffers or sizes to key a plan")
-        sizes = effective_sizes(schedule, buffers)
-    frozen_sizes = dict(sizes)
-    key = plan_key(rank, topo, buffer_signature(frozen_sizes))
-    return _get_or_compile_cached(
-        schedule,
-        key,
-        lambda: compile_plan(schedule, topo, rank, frozen_sizes),
-    )
-
-
-def peer_table(
-    schedule: "Schedule", topo: "CartTopology", rank: int
-) -> tuple[tuple[tuple[Optional[int], Optional[int]], ...], ...]:
-    """Per-(phase, round) resolved (source, target) pairs for the
-    *uncompiled* interpreter path — so even with lowering disabled,
-    ``topo.translate`` runs once per (schedule, rank), not per
-    execution.  Memoized next to the plans (same invalidation)."""
-    key = ("peers", rank, topo.dims, topo.periods)
-    cache = schedule._plans
-    with _CACHE_LOCK:
-        generation = schedule._plans_generation
-        cached = cache.get(key)
-    if cached is not None:
-        return cached
-    table = tuple(
-        tuple(
-            (
-                topo.translate(
-                    rank, tuple(-o for o in rnd.recv_source_offset)
-                ),
-                topo.translate(rank, rnd.offset),
-            )
-            for rnd in phase.rounds
-        )
-        for phase in schedule.phases
-    )
-    with _CACHE_LOCK:
-        existing = cache.get(key)
-        if existing is not None:
-            return existing
-        if schedule._plans_generation == generation:
-            cache[key] = table
-    return table
-
-
 # ---------------------------------------------------------------------------
-# batched (all-ranks SPMD) lowering
+# the plan
 # ---------------------------------------------------------------------------
 
 
@@ -1144,12 +917,12 @@ class BatchedRound:
     """One round of a :class:`BatchedPlan`: all ranks' exchanges as a
     handful of matrix operations.
 
-    The per-rank :class:`ExecPlan` kernels of one round are identical
-    across ranks (the schedule is SPMD data; only the resolved peers
-    differ), so the stacked ``(p, n)`` gather/scatter index matrix
-    factors into one shared column selector (``send``/``recv`` —
-    ordinary :class:`CompiledBlockSet` kernels) broadcast over rank
-    rows.  The rank-varying part is held as peer arrays: ``sources`` /
+    A round's kernels are identical across ranks (the schedule is SPMD
+    data; only the resolved peers differ), so the stacked ``(p, n)``
+    gather/scatter index matrix factors into one shared column selector
+    (``send``/``recv`` — ordinary :class:`CompiledBlockSet` kernels)
+    broadcast over rank rows; a single rank runs the same kernels on its
+    own buffers.  The rank-varying part is held as peer arrays: ``sources`` /
     ``targets`` are ``(p,)`` ``int64`` with ``-1`` where the peer falls
     off a non-periodic mesh edge, and ``recv_rows`` (``None`` when every
     rank receives) is the boolean-mask-derived row index of the ranks
@@ -1284,36 +1057,28 @@ class BatchedReduceRound:
 
     def run(self, matrices: Mapping[str, np.ndarray]) -> None:
         dt = self.dtype
-        isz = dt.itemsize
         for sbuf, soff, dbuf, doff, n, copy_rows, comb_rows in self.steps:
             src_m = matrices[sbuf]
             dst_m = matrices[dbuf]
+            scols = slice(soff, soff + n)
+            dcols = slice(doff, doff + n)
             if copy_rows is None:
-                dst_m[:, doff : doff + n] = src_m[:, soff : soff + n]
+                dst_m[:, dcols] = src_m[:, scols]
             elif copy_rows.size:
-                dst_m[copy_rows, doff : doff + n] = src_m[
-                    copy_rows, soff : soff + n
-                ]
+                dst_m[copy_rows, dcols] = src_m[copy_rows, scols]
             if comb_rows is not None and not comb_rows.size:
                 continue
-            sv = src_m.view(dt)
-            dv = dst_m.view(dt)
-            scols = _dtype_slice(soff, n, isz)
-            dcols = _dtype_slice(doff, n, isz)
-            if comb_rows is None:
-                d = dv[:, dcols]
-                if self._ufunc is not None:
-                    self._ufunc(d, sv[:, scols], out=d)
-                else:
-                    d[...] = self._fn(d, sv[:, scols])
+            rows = slice(None) if comb_rows is None else comb_rows
+            # a column range of a byte matrix views as dtype rows; a fancy
+            # row index yields a copy, written back after the fold
+            d = dst_m[rows, dcols].view(dt)
+            s = src_m[rows, scols].view(dt)
+            if self._ufunc is not None:
+                self._ufunc(d, s, out=d)
             else:
-                d = dv[comb_rows, dcols]  # fancy row index: a copy
-                s = sv[comb_rows, scols]
-                dv[comb_rows, dcols] = (
-                    self._ufunc(d, s)
-                    if self._ufunc is not None
-                    else self._fn(d, s)
-                )
+                d[...] = self._fn(d, s)
+            if comb_rows is not None:
+                dst_m[rows, dcols] = d.view(np.uint8)
 
     def __repr__(self) -> str:
         return (
@@ -1328,15 +1093,9 @@ def _compile_batched_combines(
     live_by_phase: Sequence[Sequence[np.ndarray]],
     sizes: Mapping[str, int],
 ) -> tuple[
-    Optional[BatchedReduceRound],
-    tuple[Optional[BatchedReduceRound], ...],
-    np.ndarray,
+    Optional[BatchedReduceRound], tuple[Optional[BatchedReduceRound], ...]
 ]:
-    """All-ranks combine lowering: (pre-step kernel, per-phase kernels,
-    ranks whose required outputs never receive a contribution)."""
-    nphases = len(schedule.phases)
-    if not schedule.is_reduction:
-        return None, (None,) * nphases, np.empty(0, dtype=np.int64)
+    """All-ranks combine lowering: (pre-step kernel, per-phase kernels)."""
     dt = np.dtype(schedule.combine_dtype)
     token = schedule.combine_op
     inited: dict[tuple[str, int, int], np.ndarray] = {}
@@ -1358,11 +1117,6 @@ def _compile_batched_combines(
                     raise TruncationError(
                         f"combine block {ref} exceeds buffer "
                         f"{ref.buffer!r} of {cap} bytes"
-                    )
-                if cap % dt.itemsize:
-                    raise ScheduleError(
-                        f"buffer {ref.buffer!r} of {cap} B cannot be "
-                        f"viewed as {dt.str} rank matrices"
                     )
             if step.when_round is None:
                 eligible = np.ones(p, dtype=bool)
@@ -1407,27 +1161,64 @@ def _compile_batched_combines(
         lower(phase.combine_steps, live_by_phase[pi])
         for pi, phase in enumerate(schedule.phases)
     )
-    missing = np.zeros(p, dtype=bool)
-    for ref in schedule.required_outputs:
-        got = inited.get((ref.buffer, ref.offset, ref.nbytes))
-        if got is None:
-            missing[:] = True
-        else:
-            missing |= ~got
-    return pre, per_phase, np.nonzero(missing)[0]
+    return pre, per_phase
+
+
+def _compile_rank_combines(
+    schedule: "Schedule",
+    p: int,
+    live_by_phase: Sequence[Sequence[np.ndarray]],
+    sizes: Mapping[str, int],
+) -> tuple[tuple[RankCombines, ...], np.ndarray]:
+    """Per-rank combine programs, compiled once per distinct liveness
+    pattern — which rounds have an on-mesh receive source, the only
+    rank-varying input of combine lowering.  A torus has one pattern, a
+    mesh one per boundary class.  Returns the programs and the ``(p,)``
+    pattern index of every rank."""
+    counts = [len(rounds) for rounds in live_by_phase]
+    columns = [live for rounds in live_by_phase for live in rounds]
+    live = (
+        np.stack(columns, axis=1)
+        if columns
+        else np.ones((p, 0), dtype=bool)
+    )
+    patterns, pattern_of = np.unique(live, axis=0, return_inverse=True)
+    splits = np.cumsum(counts)[:-1]
+    programs = tuple(
+        _compile_combines(
+            schedule,
+            [row.tolist() for row in np.split(pattern, splits)],
+            sizes,
+        )
+        for pattern in patterns
+    )
+    return programs, pattern_of.reshape(-1).astype(np.int64)
+
+
+#: One round as one rank sees it: absolute peers (``None`` off a mesh
+#: edge) and the shared kernels of the halves that exist.
+RankRound = namedtuple("RankRound", ["source", "target", "send", "recv"])
+
+#: One rank's view of a :class:`BatchedPlan`: the shared kernels with
+#: the rank's row of the peer vectors, its combine programs (``None``
+#: unless the schedule is a reduction) and the wire bytes it sends.
+RankView = namedtuple(
+    "RankView", ["rank", "phases", "copy_program", "combines", "wire_bytes"]
+)
 
 
 class BatchedPlan:
-    """An immutable all-ranks lowering of one schedule: the whole
-    ``p``-rank lockstep execution as one data-parallel numpy program.
+    """The immutable lowering of one schedule for every rank of one
+    topology — the only plan representation.
 
-    Rank buffers are held as one ``(p, nbytes)`` matrix per buffer name
-    (``matrices``); each (phase, round) packs a ``(p, n)`` wire matrix,
-    and delivery is a row permutation of it (``wire[sources]``).  The
-    pack-all-then-deliver-all discipline of the lockstep backend is kept
-    per phase, so the batched execution is byte-identical to driving
-    ``p`` per-rank interpreters — there is simply no per-rank Python
-    loop left.
+    Executed whole, it is the ``p``-rank lockstep execution as one
+    data-parallel numpy program: rank buffers are held as one ``(p,
+    nbytes)`` matrix per buffer name (``matrices``); each (phase, round)
+    packs a ``(p, n)`` wire matrix, and delivery is a row permutation of
+    it (``wire[sources]``).  The pack-all-then-deliver-all discipline of
+    the lockstep backend is kept per phase, so the batched execution is
+    byte-identical to driving ``p`` per-rank interpreters over
+    :meth:`rank_view` — the same kernels, the same peers.
     """
 
     __slots__ = (
@@ -1438,9 +1229,12 @@ class BatchedPlan:
         "copy_program",
         "pre_program",
         "combine_programs",
+        "rank_combine_programs",
+        "combine_pattern",
         "reduce_missing",
         "temp_nbytes",
         "sizes",
+        "rank_wire_bytes",
         "wire_bytes",
         "compile_seconds",
     )
@@ -1454,11 +1248,11 @@ class BatchedPlan:
         copy_program: CompiledCopyProgram,
         temp_nbytes: int,
         sizes: Mapping[str, int],
-        wire_bytes: int,
         compile_seconds: float,
         pre_program: Optional[BatchedReduceRound] = None,
         combine_programs: Sequence[Optional[BatchedReduceRound]] = (),
-        reduce_missing: Optional[np.ndarray] = None,
+        rank_combine_programs: Sequence[RankCombines] = (),
+        combine_pattern: Optional[np.ndarray] = None,
     ) -> None:
         self.kind = kind
         self.key = key
@@ -1473,18 +1267,66 @@ class BatchedPlan:
             if combine_programs
             else (None,) * len(self.phases)
         )
+        #: per-rank combine programs, one entry per liveness pattern, and
+        #: the ``(p,)`` pattern index of each rank (``None`` unless the
+        #: schedule is a reduction)
+        self.rank_combine_programs = tuple(rank_combine_programs)
+        self.combine_pattern = combine_pattern
         #: ranks whose required reduction outputs receive no contribution
-        #: (raises at execute, matching the per-rank interpreters)
-        self.reduce_missing = (
-            reduce_missing
-            if reduce_missing is not None
-            else np.empty(0, dtype=np.int64)
-        )
+        #: (raises at execute, like the rank's own interpreter at finish)
+        if combine_pattern is None:
+            self.reduce_missing = np.empty(0, dtype=np.int64)
+        else:
+            ok = np.array(
+                [c.outputs_ok for c in self.rank_combine_programs], bool
+            )
+            self.reduce_missing = np.nonzero(~ok[combine_pattern])[0]
         self.temp_nbytes = temp_nbytes
         self.sizes = dict(sizes)
-        self.wire_bytes = wire_bytes
+        #: ``(p,)`` wire bytes each rank sends (mesh-edge rounds excluded)
+        self.rank_wire_bytes = np.zeros(p, dtype=np.int64)
+        for phase in self.phases:
+            for rnd in phase:
+                if rnd.send is not None:
+                    self.rank_wire_bytes[rnd.targets >= 0] += (
+                        rnd.send.total_nbytes
+                    )
+        self.wire_bytes = int(self.rank_wire_bytes.sum())
         self.compile_seconds = compile_seconds
 
+    # -- one rank ------------------------------------------------------
+    def rank_combines(self, rank: int) -> Optional[RankCombines]:
+        """The combine programs of ``rank``'s liveness pattern."""
+        if self.combine_pattern is None:
+            return None
+        return self.rank_combine_programs[int(self.combine_pattern[rank])]
+
+    def rank_view(self, rank: int) -> RankView:
+        """``rank``'s plan: the shared kernels plus its peers."""
+        phases = []
+        for phase in self.phases:
+            rounds = []
+            for rnd in phase:
+                source = int(rnd.sources[rank])
+                target = int(rnd.targets[rank])
+                rounds.append(
+                    RankRound(
+                        None if source < 0 else source,
+                        None if target < 0 else target,
+                        rnd.send if target >= 0 else None,
+                        rnd.recv if source >= 0 else None,
+                    )
+                )
+            phases.append(tuple(rounds))
+        return RankView(
+            rank,
+            tuple(phases),
+            self.copy_program,
+            self.rank_combines(rank),
+            int(self.rank_wire_bytes[rank]),
+        )
+
+    # -- all ranks -----------------------------------------------------
     def execute(self, matrices: Mapping[str, np.ndarray]) -> None:
         """Run every communication phase on the stacked buffer matrices
         (wire matrices are pooled and always returned, even when a
@@ -1549,32 +1391,25 @@ class BatchedPlan:
         )
 
 
-def batched_plan_key(topo: "CartTopology", signature: tuple) -> tuple:
-    return ("batched", topo.dims, topo.periods, signature)
-
-
 def compile_batched_plan(
     schedule: "Schedule",
     topo: "CartTopology",
     sizes: Mapping[str, int],
 ) -> BatchedPlan:
-    """Lower ``schedule`` for *all* ranks of ``topo`` at once (no
-    caching — see :func:`get_or_compile_batched`).
+    """Lower ``schedule`` for every rank of ``topo`` (no caching — see
+    :func:`get_or_compile_batched`).
 
     The per-round kernels are compiled exactly once (they are rank-
-    independent — stacking the per-rank :class:`ExecPlan` index arrays
-    would produce ``p`` identical rows); the rank-varying peers come
-    from :func:`translate_all`.  Rounds whose receivers expect a message
-    no rank sends (an asymmetric ``recv_offset`` on a mesh) are rejected
-    here with the same :class:`ScheduleError` the lockstep transport
-    raises at delivery time.
+    independent); the rank-varying peers come from
+    :func:`translate_all`.  Rounds whose receivers expect a message no
+    rank sends (an asymmetric ``recv_offset`` on a mesh) are rejected
+    here with a :class:`ScheduleError`.
     """
     t0 = time.perf_counter()
     schedule.prepare()
     p = topo.size
     phases: list[list[BatchedRound]] = []
     live_by_phase: list[list[np.ndarray]] = []
-    wire_bytes = 0
     for phase in schedule.phases:
         rounds: list[BatchedRound] = []
         live_rounds: list[np.ndarray] = []
@@ -1608,30 +1443,40 @@ def compile_batched_plan(
                         f"rank {j} expects a message from "
                         f"{int(sources[j])} which sent none"
                     )
-            if send is not None:
-                wire_bytes += send.total_nbytes * br.senders
             rounds.append(br)
         phases.append(rounds)
         live_by_phase.append(live_rounds)
     copy_program = compile_copies(schedule.prepared_copy_runs(), sizes)
-    pre_program, combine_programs, reduce_missing = _compile_batched_combines(
-        schedule, p, live_by_phase, sizes
-    )
-    key = batched_plan_key(topo, buffer_signature(sizes))
+    pre_program = None
+    combine_programs: tuple[Optional[BatchedReduceRound], ...] = ()
+    rank_combine_programs: tuple[RankCombines, ...] = ()
+    combine_pattern = None
+    if schedule.is_reduction:
+        pre_program, combine_programs = _compile_batched_combines(
+            schedule, p, live_by_phase, sizes
+        )
+        rank_combine_programs, combine_pattern = _compile_rank_combines(
+            schedule, p, live_by_phase, sizes
+        )
     return BatchedPlan(
         schedule.kind,
-        key,
+        _cache_key(topo, sizes),
         p,
         phases,
         copy_program,
         schedule.temp_nbytes,
         sizes,
-        wire_bytes,
         time.perf_counter() - t0,
         pre_program=pre_program,
         combine_programs=combine_programs,
-        reduce_missing=reduce_missing,
+        rank_combine_programs=rank_combine_programs,
+        combine_pattern=combine_pattern,
     )
+
+
+def _cache_key(topo: "CartTopology", sizes: Mapping[str, int]) -> tuple:
+    """The plan-cache key: topology and buffer layout, no rank."""
+    return (topo.dims, topo.periods, buffer_signature(sizes))
 
 
 def get_or_compile_batched(
@@ -1641,19 +1486,19 @@ def get_or_compile_batched(
     *,
     sizes: Optional[Mapping[str, int]] = None,
 ) -> tuple[BatchedPlan, bool]:
-    """Return ``(plan, hit)`` — the cached all-ranks plan or a freshly
-    compiled one.  Batched plans live in ``Schedule._plans`` next to the
-    per-rank entries (same lifetime, same invalidation, same single-
-    flight machinery) under a rank-free key."""
+    """Return ``(plan, hit)`` — the schedule's cached plan for ``topo``
+    and this buffer layout, or a freshly compiled one.  Plans live in
+    ``Schedule._plans`` (invalidated with the schedule-cache entry);
+    compilation is single-flight per key and runs outside the module
+    lock, so compiles of distinct schedules proceed concurrently."""
     if sizes is None:
         if buffers is None:
             raise ValueError("need buffers or sizes to key a plan")
         sizes = effective_sizes(schedule, buffers)
     frozen_sizes = dict(sizes)
-    key = batched_plan_key(topo, buffer_signature(frozen_sizes))
     return _get_or_compile_cached(
         schedule,
-        key,
+        _cache_key(topo, frozen_sizes),
         lambda: compile_batched_plan(schedule, topo, frozen_sizes),
     )
 
@@ -1673,50 +1518,3 @@ def plan_cache_reset() -> None:
         _hits = 0
         _misses = 0
         _compile_seconds = 0.0
-
-
-# ---------------------------------------------------------------------------
-# enable/disable toggles
-# ---------------------------------------------------------------------------
-
-_override: Optional[bool] = None
-
-
-def plans_enabled() -> bool:
-    """Whether the interpreter lowers schedules to plans: the scoped
-    override if set, else ``REPRO_PLANS`` (default on)."""
-    if _override is not None:
-        return _override
-    return os.environ.get(_PLANS_ENV, "1") != "0"
-
-
-def set_plans_enabled(enabled: Optional[bool]) -> None:
-    """Force lowering on/off process-wide; ``None`` restores the
-    environment default."""
-    global _override
-    _override = enabled
-
-
-@contextmanager
-def plans_disabled() -> Iterator[None]:
-    """Scope with lowering off — the pre-plan interpreter path, used for
-    parity tests and the compiled-vs-interpreted benchmark."""
-    global _override
-    prev = _override
-    _override = False
-    try:
-        yield
-    finally:
-        _override = prev
-
-
-@contextmanager
-def plans_forced() -> Iterator[None]:
-    """Scope with lowering on regardless of the environment."""
-    global _override
-    prev = _override
-    _override = True
-    try:
-        yield
-    finally:
-        _override = prev

@@ -180,8 +180,8 @@ class Schedule:
     _copy_runs: list[LocalCopy] | None = field(
         default=None, repr=False, compare=False
     )
-    #: per-rank lowered execution plans and peer tables, keyed and
-    #: populated by :mod:`repro.core.plan` (under its module lock).
+    #: lowered execution plans (one per topology and buffer layout),
+    #: keyed and populated by :mod:`repro.core.plan` (under its lock).
     #: Living on the schedule object, they share its cache lifetime:
     #: evicting the schedule-cache entry invalidates its plans with it.
     _plans: dict[tuple, object] = field(
@@ -318,10 +318,10 @@ class Schedule:
         return sum(lc.src.nbytes for lc in self.prepared_copy_runs())
 
     def clear_plans(self) -> None:
-        """Drop all lowered per-rank plans and peer tables (called when
-        this schedule's cache entry is evicted; plans recompile lazily on
-        the next execution).  A compile in flight when this runs is
-        never cached afterwards (generation guard in the plan module)."""
+        """Drop all lowered plans (called when this schedule's cache
+        entry is evicted; plans recompile lazily on the next execution).
+        A compile in flight when this runs is never cached afterwards
+        (generation guard in the plan module)."""
         from repro.core import plan as plan_mod
 
         plan_mod.invalidate_plans(self)

@@ -106,8 +106,8 @@ def _default_shards() -> int:
 
 
 def _discard(entry: object) -> None:
-    """Invalidate an entry leaving the cache: lowered per-rank plans
-    (see :mod:`repro.core.plan`) live on the schedule object and share
+    """Invalidate an entry leaving the cache: lowered plans (see
+    :mod:`repro.core.plan`) live on the schedule object and share
     its cache lifetime, so they are dropped with it — a stale schedule
     still referenced elsewhere recompiles its plans on next use."""
     clear_plans = getattr(entry, "clear_plans", None)

@@ -10,7 +10,8 @@ server-side exception type) on ``status: error`` answers.
 Plan references returned by ``plan`` requests are resolved through
 :meth:`map_plan`: the client attaches the server's shared-memory
 segment once and reconstructs every referenced
-:class:`~repro.core.plan.ExecPlan` zero-copy from it.
+:class:`~repro.core.plan.BatchedPlan` zero-copy from it; a rank runs
+its :meth:`~repro.core.plan.BatchedPlan.rank_view`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import asyncio
 import socket
 from typing import Any, Optional
 
-from repro.core.plan import ExecPlan
+from repro.core.plan import BatchedPlan
 from repro.core.schedule import Schedule
 from repro.core.serialize import schedule_from_dict
 from repro.serve.protocol import (
@@ -51,9 +52,9 @@ class _PlanMapper:
     def __init__(self) -> None:
         self._stores: dict[str, ShmPlanStore] = {}
 
-    def map_plan(self, response: dict) -> ExecPlan:
-        """Resolve a ``plan`` response's shared-memory reference into an
-        :class:`ExecPlan` whose kernels run off the shared pages."""
+    def map_plan(self, response: dict) -> BatchedPlan:
+        """Resolve a ``plan`` response's shared-memory reference into a
+        :class:`BatchedPlan` whose kernels run off the shared pages."""
         ref = response.get("shm")
         if not isinstance(ref, dict):
             raise ProtocolError(f"plan response without 'shm': {response!r}")
@@ -121,7 +122,7 @@ class ScheduleClient(_PlanMapper):
 
     def request_plan(
         self, request: ScheduleRequest
-    ) -> tuple[ExecPlan, dict]:
+    ) -> tuple[BatchedPlan, dict]:
         """``(plan, response)`` — the plan is mapped zero-copy from the
         server's shared-memory store (same machine only)."""
         response = self.request(request.to_dict("plan"))
@@ -194,7 +195,7 @@ class AsyncScheduleClient(_PlanMapper):
 
     async def request_plan(
         self, request: ScheduleRequest
-    ) -> tuple[ExecPlan, dict]:
+    ) -> tuple[BatchedPlan, dict]:
         response = await self.request(request.to_dict("plan"))
         return self.map_plan(response), response
 

@@ -20,11 +20,11 @@ Requests are JSON objects with an ``op`` field:
     ``(m_bytes, dtype, reduce_op)`` for the reduction family.  The
     response embeds the schedule in its serialized dictionary form.
 ``plan``
-    same as ``schedule`` plus ``rank`` and buffer ``sizes``; for
-    same-machine clients the server compiles the per-rank execution
-    plan and publishes it in the shared-memory plan store, answering
-    with a ``(segment, offset, nbytes)`` reference the client maps
-    zero-copy.
+    same as ``schedule`` plus ``rank`` (in ``[0, prod(dims))``) and
+    buffer ``sizes``; for same-machine clients the server compiles the
+    schedule's rank-invariant plan once per buffer layout and publishes
+    it in the shared-memory plan store, answering with a ``(segment,
+    offset, nbytes)`` reference the client maps zero-copy.
 ``stats``
     telemetry snapshot: server counters, schedule-cache counters
     (including per-shard contention), plan-cache counters, and the

@@ -29,16 +29,18 @@ build cache does not invalidate it.
 
 With ``shm_plans=True`` the daemon also owns a
 :class:`~repro.serve.shm_plans.ShmPlanStore`: ``plan`` requests lower
-the schedule for one rank and publish the compiled plan into the store,
-answering with a ``(segment, offset, nbytes)`` reference that
+the schedule once per buffer layout — the plan is rank-invariant, so
+every rank of the topology shares one image — and publish it into the
+store, answering with a ``(segment, offset, nbytes)`` reference that
 same-machine clients map zero-copy.
 """
 
 from __future__ import annotations
 
 import asyncio
-import bisect
 import json
+import math
+import random
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -65,6 +67,8 @@ from repro.serve.shm_plans import ShmPlanStore, key_digest, plan_to_image
 READY_MIRROR_SIZE = 1024
 #: build-latency samples kept for the p50/p99 telemetry
 LATENCY_RESERVOIR = 4096
+#: seed of the latency reservoir's replacement choices
+LATENCY_SEED = 0x5EED
 
 
 @dataclass
@@ -84,24 +88,36 @@ class ServerStats:
     build_failures: int = 0
     protocol_errors: int = 0
     plans_published: int = 0
-    #: sorted build-latency reservoir (seconds)
+    #: build-latency reservoir (seconds): a uniform sample of every
+    #: latency noted so far, at most ``LATENCY_RESERVOIR`` long
     build_latency: list = field(default_factory=list)
+    #: latencies noted so far (the reservoir's population)
+    latencies_seen: int = 0
+    _rng: random.Random = field(
+        default_factory=lambda: random.Random(LATENCY_SEED), repr=False
+    )
 
     def count(self, op: str) -> None:
         self.requests[op] = self.requests.get(op, 0) + 1
 
     def note_latency(self, seconds: float) -> None:
+        """Reservoir sampling (Algorithm R): the ``n``-th latency
+        replaces a random slot with probability ``size / n``, so the
+        reservoir stays a uniform sample of the whole run and the
+        percentiles follow the latest builds too."""
+        self.latencies_seen += 1
         if len(self.build_latency) < LATENCY_RESERVOIR:
-            bisect.insort(self.build_latency, seconds)
+            self.build_latency.append(seconds)
+            return
+        slot = self._rng.randrange(self.latencies_seen)
+        if slot < LATENCY_RESERVOIR:
+            self.build_latency[slot] = seconds
 
     def latency_percentile(self, q: float) -> float:
         if not self.build_latency:
             return 0.0
-        index = min(
-            len(self.build_latency) - 1,
-            int(q * (len(self.build_latency) - 1)),
-        )
-        return self.build_latency[index]
+        ordered = sorted(self.build_latency)
+        return ordered[min(len(ordered) - 1, int(q * (len(ordered) - 1)))]
 
     def to_json(self) -> dict:
         return {
@@ -450,8 +466,15 @@ class ScheduleServer:
             )
         if request.dims is None:
             raise ProtocolError("plan requests need 'dims'")
+        p = math.prod(request.dims)
+        if not 0 <= request.rank < p:
+            raise ProtocolError(
+                f"plan request rank {request.rank} outside [0, {p}) for "
+                f"dims {tuple(request.dims)}"
+            )
+        # the plan is rank-invariant: one image per schedule and layout
         key = request.canonical_key()
-        digest = key_digest((key, request.rank, request.sizes))
+        digest = key_digest((key, request.sizes))
         inflight = self._plan_inflight.get(digest)
         if inflight is not None:
             self.stats.single_flight_hits += 1
@@ -495,8 +518,8 @@ class ScheduleServer:
     def _build_plan(
         self, request: ScheduleRequest, key: tuple, digest: str
     ) -> tuple[int, int, bool]:
-        """Worker-thread body: certified schedule, per-rank lowering,
-        publish into the shared store (idempotent on the digest)."""
+        """Worker-thread body: certified schedule, lowering, publish into
+        the shared store (idempotent on the digest)."""
         store = self._plan_store
         if store is None:
             raise ServeError("plan store closed")
@@ -507,11 +530,11 @@ class ScheduleServer:
             key, request.build, self._verifier(request)
         )
         assert isinstance(sched, Schedule)
-        assert request.dims is not None and request.rank is not None
+        assert request.dims is not None
         topo = CartTopology(request.dims, request.periods)
         sizes = dict(request.sizes or ())
-        plan_obj, _plan_hit = plan_mod.get_or_compile(
-            sched, topo, request.rank, sizes=sizes
+        plan_obj, _plan_hit = plan_mod.get_or_compile_batched(
+            sched, topo, sizes=sizes
         )
         offset, nbytes = store.put(digest, plan_to_image(plan_obj))
         return offset, nbytes, False

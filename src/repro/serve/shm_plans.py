@@ -1,7 +1,7 @@
 """Shared-memory plan cache: compile once, map everywhere.
 
 The shm backend already exploits fork's copy-on-write pages: the parent
-compiles every per-rank :class:`~repro.core.plan.ExecPlan` *before*
+compiles the schedule's :class:`~repro.core.plan.BatchedPlan` *before*
 forking, so each worker starts with a warm plan cache for free.  That
 trick only covers plans that exist at fork time.  This module extends
 it to the daemon's steady state: a bounded append-only **plan store**
@@ -25,9 +25,12 @@ on first read, so a torn or corrupted mapping surfaces as a typed
 
 Plans are serialized as a **plan image**: a JSON skeleton (structure,
 slices, byte counts) plus a blob region holding the ``int64``
-gather/scatter index arrays 8-byte aligned, which is what makes the
-read-side zero-copy.  Reduction plans (fused combine kernels hold live
-dtype state) are refused — the store serves the data-movement family.
+gather/scatter index arrays and every round's ``(p,)`` peer vectors
+8-byte aligned, which is what makes the read-side zero-copy.  The plan
+is rank-invariant, so one image serves every rank of the topology (a
+rank runs :meth:`~repro.core.plan.BatchedPlan.rank_view`).  Reduction
+plans (fused combine kernels hold live dtype state) are refused — the
+store serves the data-movement family.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.core.plan import (
+    BatchedPlan,
+    BatchedRound,
     CompiledBlockSet,
     CompiledCopyProgram,
-    ExecPlan,
-    PlanRound,
 )
 from repro.core.serialize import CorruptFrameError
 from repro.mpisim.exceptions import ScheduleError
@@ -97,14 +100,18 @@ def _sel_to_wire(sel: Any, blobs: _BlobWriter) -> Any:
     return {"b": blobs.add(sel)}
 
 
+def _blob(blob_region: memoryview, table: list, index: int) -> np.ndarray:
+    offset, count = table[index]
+    return np.frombuffer(
+        blob_region, dtype=np.int64, count=count, offset=offset
+    )
+
+
 def _sel_from_wire(data: Any, blob_region: memoryview, table: list) -> Any:
     if "s" in data:
         start, stop = data["s"]
         return slice(int(start), int(stop))
-    offset, count = table[int(data["b"])]
-    return np.frombuffer(
-        blob_region, dtype=np.int64, count=count, offset=offset
-    )
+    return _blob(blob_region, table, int(data["b"]))
 
 
 def _cbs_to_wire(cbs: Optional[CompiledBlockSet], blobs: _BlobWriter) -> Any:
@@ -142,12 +149,10 @@ def _cbs_from_wire(
     )
 
 
-def plan_to_image(plan: ExecPlan) -> bytes:
-    """Serialize a data-movement :class:`ExecPlan` into one shareable
+def plan_to_image(plan: BatchedPlan) -> bytes:
+    """Serialize a data-movement :class:`BatchedPlan` into one shareable
     image (JSON skeleton + aligned ``int64`` blob region)."""
-    if plan.pre_program is not None or any(
-        p is not None for p in plan.combine_programs
-    ):
+    if plan.combine_pattern is not None:
         raise ScheduleError(
             f"cannot publish reduction plan {plan!r} to the shm store: "
             f"fused combine kernels are process-local"
@@ -156,14 +161,14 @@ def plan_to_image(plan: ExecPlan) -> bytes:
     cp = plan.copy_program
     meta = {
         "kind": plan.kind,
-        "rank": plan.rank,
+        "p": plan.p,
         "temp_nbytes": plan.temp_nbytes,
-        "wire_bytes": plan.wire_bytes,
+        "sizes": plan.sizes,
         "phases": [
             [
                 {
-                    "src": rnd.source,
-                    "tgt": rnd.target,
+                    "src": blobs.add(rnd.sources),
+                    "tgt": blobs.add(rnd.targets),
                     "send": _cbs_to_wire(rnd.send, blobs),
                     "recv": _cbs_to_wire(rnd.recv, blobs),
                 }
@@ -194,10 +199,11 @@ def plan_to_image(plan: ExecPlan) -> bytes:
     )
 
 
-def plan_from_image(buf: memoryview) -> ExecPlan:
-    """Rebuild an :class:`ExecPlan` from a plan image.  Index arrays are
-    read-only views of ``buf`` — pass a shared-memory mapping and the
-    plan's kernels execute straight off the shared pages."""
+def plan_from_image(buf: memoryview) -> BatchedPlan:
+    """Rebuild a :class:`BatchedPlan` from a plan image.  Index arrays
+    and peer vectors are read-only views of ``buf`` — pass a
+    shared-memory mapping and the plan's kernels execute straight off
+    the shared pages."""
     view = memoryview(buf).toreadonly()
     if len(view) < 4:
         raise CorruptFrameError("plan image shorter than its length field")
@@ -217,9 +223,9 @@ def plan_from_image(buf: memoryview) -> ExecPlan:
     table = [(int(o), int(c)) for o, c in meta["blobs"]]
     phases = [
         [
-            PlanRound(
-                None if rnd["src"] is None else int(rnd["src"]),
-                None if rnd["tgt"] is None else int(rnd["tgt"]),
+            BatchedRound(
+                _blob(blob_region, table, int(rnd["src"])),
+                _blob(blob_region, table, int(rnd["tgt"])),
                 _cbs_from_wire(rnd["send"], blob_region, table),
                 _cbs_from_wire(rnd["recv"], blob_region, table),
             )
@@ -245,14 +251,14 @@ def plan_from_image(buf: memoryview) -> ExecPlan:
             for src, dst, so, do, n in cp["run"]
         ],
     )
-    return ExecPlan(
+    return BatchedPlan(
         str(meta["kind"]),
-        int(meta["rank"]),
-        ("shm-plan", meta["kind"], meta["rank"]),
+        ("shm-plan", meta["kind"], meta["p"]),
+        int(meta["p"]),
         phases,
         copy_program,
         int(meta["temp_nbytes"]),
-        int(meta["wire_bytes"]),
+        {str(name): int(n) for name, n in meta["sizes"].items()},
         0.0,
     )
 

@@ -24,7 +24,7 @@ from repro.analyze.effects import (
 from repro.analyze.report import VerificationReport
 from repro.analyze.schedule_verifier import build_for_kind
 from repro.core.backend.shm import compute_segment_layout
-from repro.core.plan import compile_batched_plan, compile_plan
+from repro.core.plan import compile_batched_plan
 from repro.core.stencils import named_stencil
 from repro.core.topology import CartTopology
 
@@ -43,8 +43,9 @@ def artifacts():
     from repro.analyze.schedule_verifier import _plan_sizes
 
     sizes = _plan_sizes(sched)
-    plan = compile_plan(sched, topo, 0, sizes)
     bplan = compile_batched_plan(sched, topo, sizes)
+    # rank 0's view: the shared kernels with rank 0's peers
+    plan = bplan.rank_view(0)
     return sched, topo, sizes, plan, bplan
 
 

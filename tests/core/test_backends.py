@@ -28,6 +28,7 @@ from repro.core.backend import (
     ThreadedBackend,
     get_backend,
 )
+from repro.core.backend.reference import run_reference
 from repro.core.schedule import uniform_block_layout
 from repro.core.stencils import moore_neighborhood
 from repro.core.topology import CartTopology
@@ -143,8 +144,13 @@ def _make_bufs(p, ssize, rsize):
 
 
 def _run_on(backend, topo, sched, ssize, rsize):
+    """Execute on a registered backend, or the uncompiled reference
+    walk for ``"reference"``."""
     bufs = _make_bufs(topo.size, ssize, rsize)
-    get_backend(backend).execute_all(topo, sched, bufs)
+    if backend == "reference":
+        run_reference(topo, sched, bufs)
+    else:
+        get_backend(backend).execute_all(topo, sched, bufs)
     return bufs
 
 
@@ -181,16 +187,13 @@ class TestParityMatrix:
         assert_backends_agree(topo, sched, ssize, rsize, ["lockstep", "batched"])
 
     def test_batched_vs_lockstep_interpreted(self, op, algorithm, variant):
-        """With lowering disabled the batched backend must fall back to
-        the interpreted lockstep driver, still byte-identical."""
-        from repro.core.plan import plans_disabled
-
+        """The compiled backends are byte-identical to the uncompiled
+        reference walk of the schedule's block sets."""
         topo = CartTopology((3, 3))
         sched, ssize, rsize = _make_case(op, algorithm, variant)
-        with plans_disabled():
-            assert_backends_agree(
-                topo, sched, ssize, rsize, ["lockstep", "batched"]
-            )
+        assert_backends_agree(
+            topo, sched, ssize, rsize, ["reference", "lockstep", "batched"]
+        )
 
     @shm_mark
     @pytest.mark.shm
@@ -201,7 +204,7 @@ class TestParityMatrix:
 
 
 # ----------------------------------------------------------------------
-# reduction parity: the reduce family on every backend, plans on/off
+# reduction parity: the reduce family on every backend and the reference
 # ----------------------------------------------------------------------
 
 _REDUCE_M = 16  # two int64 elements per block
@@ -242,7 +245,7 @@ REDUCE_PARITY_OPS = {
 )
 class TestReduceParityMatrix:
     """Reductions are schedules like any other: every backend must
-    produce byte-identical buffers, with and without plan lowering."""
+    produce the reference walk's buffers byte for byte."""
 
     def test_threaded_vs_lockstep(self, kind, op_name):
         topo = CartTopology((3, 3))
@@ -255,26 +258,20 @@ class TestReduceParityMatrix:
         assert_backends_agree(topo, sched, ssize, rsize, ["lockstep", "batched"])
 
     def test_batched_vs_lockstep_interpreted(self, kind, op_name):
-        from repro.core.plan import plans_disabled
-
         topo = CartTopology((3, 3))
         sched, ssize, rsize = _make_reduce_case(kind, REDUCE_PARITY_OPS[op_name])
-        with plans_disabled():
-            assert_backends_agree(
-                topo, sched, ssize, rsize, ["lockstep", "batched"]
-            )
+        assert_backends_agree(
+            topo, sched, ssize, rsize, ["reference", "batched"]
+        )
 
     def test_plans_on_vs_off_identical(self, kind, op_name):
-        from repro.core.plan import plans_disabled
-
+        """The per-rank compiled combine programs (lockstep) against the
+        step-by-step reference fold."""
         topo = CartTopology((3, 3))
         sched, ssize, rsize = _make_reduce_case(kind, REDUCE_PARITY_OPS[op_name])
-        compiled = _run_on("lockstep", topo, sched, ssize, rsize)
-        with plans_disabled():
-            interp = _run_on("lockstep", topo, sched, ssize, rsize)
-        for r in range(topo.size):
-            for buf in ("send", "recv"):
-                assert np.array_equal(compiled[r][buf], interp[r][buf])
+        assert_backends_agree(
+            topo, sched, ssize, rsize, ["reference", "lockstep"]
+        )
 
     @shm_mark
     @pytest.mark.shm

@@ -137,7 +137,8 @@ class TestBatchedLowering:
         b, hit_b = get_or_compile_batched(sched, topo, bufs)
         assert not hit_a and hit_b
         assert a is b
-        assert a.key[0] == "batched"
+        assert a.key == (topo.dims, topo.periods,
+                         plan_mod.buffer_signature(a.sizes))
         # invalidated with the schedule's plan cache
         sched.clear_plans()
         c, hit_c = get_or_compile_batched(sched, topo, bufs)
@@ -151,16 +152,22 @@ class TestBatchedLowering:
         assert a is not b
 
     def test_wire_bytes_sum_per_rank_plans(self):
-        """Aggregate wire bytes equal the sum of the per-rank plans'."""
+        """Aggregate wire bytes equal the sum of the per-rank vector,
+        and each rank's entry counts only the rounds it sends in."""
         topo = CartTopology((3, 4), (False, True))
         sched = make_sched(NBH)
         sizes = plan_mod.effective_sizes(sched, make_bufs(1, NBH.t, 6)[0])
         bplan = compile_batched_plan(sched, topo, sizes)
-        per_rank = sum(
-            plan_mod.compile_plan(sched, topo, r, sizes).wire_bytes
-            for r in range(topo.size)
-        )
-        assert bplan.wire_bytes == per_rank
+        assert bplan.rank_wire_bytes.shape == (topo.size,)
+        assert bplan.wire_bytes == int(bplan.rank_wire_bytes.sum())
+        for r in range(topo.size):
+            view = bplan.rank_view(r)
+            assert view.wire_bytes == sum(
+                rr.send.total_nbytes
+                for phase in view.phases
+                for rr in phase
+                if rr.send is not None
+            )
 
 
 # ----------------------------------------------------------------------
@@ -320,8 +327,9 @@ class TestPoolBalance:
         assert _outstanding() == before
 
     def test_lockstep_interpreted_failure_balances(self, monkeypatch):
-        """Same drain discipline on the uncompiled (peer-table) path,
-        where the pooled temp is held by each interpreter."""
+        """Same drain discipline on the uncompiled reference walk, where
+        the pooled temp is held by each rank's walk."""
+        from repro.core.backend.reference import run_reference
         from repro.mpisim.datatypes import BlockSet
 
         before = _outstanding()
@@ -338,9 +346,8 @@ class TestPoolBalance:
             return orig(self, buffers, data)
 
         monkeypatch.setattr(BlockSet, "unpack_from", flaky)
-        with plan_mod.plans_disabled():
-            with pytest.raises(RuntimeError, match="injected unpack"):
-                LockstepBackend().execute_all(topo, sched, bufs)
+        with pytest.raises(RuntimeError, match="injected unpack"):
+            run_reference(topo, sched, bufs)
         assert _outstanding() == before
 
     def test_interpreter_abort_is_idempotent(self):

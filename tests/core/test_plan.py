@@ -1,13 +1,14 @@
 """Plan-compiler and buffer-pool suite.
 
-Lowering a schedule to a per-rank :class:`~repro.core.plan.ExecPlan`
-must be invisible except for speed: the compiled gather/scatter kernels,
-the fused local-copy program and the pooled scratch have to produce the
-same bytes the interpreted block sets produce, on every backend.  This
-suite diffs the two paths over the full algorithm × operation × layout
-matrix, drives a hypothesis property over random topologies, and unit-
-tests the pool, the kernels, the cache lifetime coupling and the
-``OpStats`` counters.
+Lowering a schedule to its rank-invariant
+:class:`~repro.core.plan.BatchedPlan` must be invisible except for
+speed: the compiled gather/scatter kernels, the fused local-copy program
+and the pooled scratch have to produce the same bytes the reference
+block-set walk produces, on every backend.  This suite diffs the two
+over the full algorithm × operation × layout matrix, drives a
+hypothesis property over random topologies, pins that one compile
+serves every rank, and unit-tests the pool, the kernels, the cache
+lifetime coupling and the ``OpStats`` counters.
 """
 
 import threading
@@ -23,13 +24,14 @@ from repro.core.alltoall_schedule import build_alltoall_schedule
 from repro.core.api import run_cartesian
 from repro.core.backend import get_backend
 from repro.core.opstats import OpStats
+from repro.core.backend.reference import run_reference
 from repro.core.plan import (
     BufferPool,
     CompiledBlockSet,
+    compile_batched_plan,
     compile_blockset,
     compile_copies,
-    compile_plan,
-    get_or_compile,
+    get_or_compile_batched,
 )
 from repro.core.schedule import LocalCopy, uniform_block_layout
 from repro.core.topology import CartTopology
@@ -46,9 +48,10 @@ from tests.core.test_backends import (
 
 def _run_mode(backend, topo, sched, ssize, rsize, *, compiled):
     bufs = _make_bufs(topo.size, ssize, rsize)
-    scope = plan_mod.plans_forced if compiled else plan_mod.plans_disabled
-    with scope():
+    if compiled:
         get_backend(backend).execute_all(topo, sched, bufs)
+    else:
+        run_reference(topo, sched, bufs)
     return bufs
 
 
@@ -81,13 +84,13 @@ def assert_plan_parity(backend, topo, sched, ssize, rsize):
     for r in range(topo.size):
         for buf in ("send", "recv"):
             assert np.array_equal(got[r][buf], ref[r][buf]), (
-                f"compiled {backend} diverges from interpreted: "
+                f"compiled {backend} diverges from the reference: "
                 f"rank {r}, buffer {buf!r}"
             )
 
 
 # ----------------------------------------------------------------------
-# compiled vs interpreted over the full matrix
+# compiled backends vs the reference walk over the full matrix
 # ----------------------------------------------------------------------
 
 
@@ -139,8 +142,8 @@ def test_plan_parity_nonperiodic_mesh():
 )
 @settings(deadline=None, max_examples=20)
 def test_plan_parity_property(dims, m, algorithm, periodic, data):
-    """Compiled and interpreted paths agree byte-for-byte on random
-    tori/meshes, neighborhoods and block sizes."""
+    """Compiled execution and the reference walk agree byte-for-byte on
+    random tori/meshes, neighborhoods and block sizes."""
     d = len(dims)
     offsets = data.draw(
         st.lists(
@@ -497,8 +500,8 @@ class TestPlanCacheLifetime:
         sched, bufs = _schedule_and_buffers()
         topo = CartTopology((3, 3))
         before = plan_mod.plan_cache_info()
-        plan0, hit0 = get_or_compile(sched, topo, 0, bufs)
-        plan1, hit1 = get_or_compile(sched, topo, 0, bufs)
+        plan0, hit0 = get_or_compile_batched(sched, topo, bufs)
+        plan1, hit1 = get_or_compile_batched(sched, topo, bufs)
         assert not hit0 and hit1 and plan1 is plan0
         after = plan_mod.plan_cache_info()
         assert after.misses == before.misses + 1
@@ -506,14 +509,17 @@ class TestPlanCacheLifetime:
         assert after.compile_seconds > before.compile_seconds
 
     def test_distinct_rank_and_layout_keys(self):
+        """The key has no rank — every rank shares one plan — but a
+        different buffer layout is a different plan."""
         sched, bufs = _schedule_and_buffers()
         topo = CartTopology((3, 3))
-        p0, _ = get_or_compile(sched, topo, 0, bufs)
-        p1, _ = get_or_compile(sched, topo, 1, bufs)
-        assert p0 is not p1 and p0.key != p1.key
+        p0, _ = get_or_compile_batched(sched, topo, bufs)
+        p1, hit = get_or_compile_batched(sched, topo, bufs)
+        assert hit and p1 is p0
+        assert p0.rank_view(0).phases != p0.rank_view(1).phases
         bigger = {k: np.zeros(v.nbytes + 64, np.uint8) for k, v in bufs.items()}
-        p2, hit = get_or_compile(sched, topo, 0, bigger)
-        assert not hit and p2 is not p0
+        p2, hit = get_or_compile_batched(sched, topo, bigger)
+        assert not hit and p2 is not p0 and p2.key != p0.key
 
     def test_cache_clear_invalidates_plans(self):
         """Regression: evicting/clearing the schedule cache must drop the
@@ -536,12 +542,12 @@ class TestPlanCacheLifetime:
             "send": np.zeros(NBH.t * 5, np.uint8),
             "recv": np.zeros(NBH.t * 5, np.uint8),
         }
-        _, hit0 = get_or_compile(sched, topo, 0, bufs)
-        _, hit1 = get_or_compile(sched, topo, 0, bufs)
+        _, hit0 = get_or_compile_batched(sched, topo, bufs)
+        _, hit1 = get_or_compile_batched(sched, topo, bufs)
         assert not hit0 and hit1
         schedule_cache.cache_clear()
         assert len(sched._plans) == 0
-        _, hit2 = get_or_compile(sched, topo, 0, bufs)
+        _, hit2 = get_or_compile_batched(sched, topo, bufs)
         assert not hit2
 
     def test_lru_eviction_invalidates_plans(self):
@@ -550,28 +556,10 @@ class TestPlanCacheLifetime:
         sched_b, _ = _schedule_and_buffers(m=7)
         cache.get_or_build(("a",), lambda: sched_a)
         topo = CartTopology((3, 3))
-        get_or_compile(sched_a, topo, 0, bufs)
+        get_or_compile_batched(sched_a, topo, bufs)
         assert len(sched_a._plans) > 0
         cache.get_or_build(("b",), lambda: sched_b)  # evicts a
         assert len(sched_a._plans) == 0
-
-    def test_peer_table_memoized(self):
-        sched, _ = _schedule_and_buffers()
-        topo = CartTopology((3, 3))
-        t0 = plan_mod.peer_table(sched, topo, 4)
-        t1 = plan_mod.peer_table(sched, topo, 4)
-        assert t0 is t1
-        want = tuple(
-            tuple(
-                (
-                    topo.translate(4, tuple(-o for o in rnd.recv_source_offset)),
-                    topo.translate(4, rnd.offset),
-                )
-                for rnd in ph.rounds
-            )
-            for ph in sched.phases
-        )
-        assert t0 == want
 
 
 def test_compile_plan_wire_bytes_excludes_mesh_boundaries():
@@ -579,32 +567,77 @@ def test_compile_plan_wire_bytes_excludes_mesh_boundaries():
     torus = CartTopology((3, 3), (True, True))
     mesh = CartTopology((3, 3), (False, False))
     sizes = plan_mod.effective_sizes(sched, bufs)
-    full = compile_plan(sched, torus, 4, sizes)  # interior rank
-    corner = compile_plan(sched, mesh, 0, sizes)
+    full = compile_batched_plan(sched, torus, sizes).rank_view(4)
+    corner = compile_batched_plan(sched, mesh, sizes).rank_view(0)
     assert full.wire_bytes == sched.volume_bytes
     assert corner.wire_bytes < full.wire_bytes
     assert any(
-        pr.target is None and pr.send is None
+        rr.target is None and rr.send is None
         for ph in corner.phases
-        for pr in ph
+        for rr in ph
     )
 
 
-def test_plans_env_and_overrides(monkeypatch):
-    monkeypatch.setenv("REPRO_PLANS", "0")
-    plan_mod.set_plans_enabled(None)
-    try:
-        assert not plan_mod.plans_enabled()
-        with plan_mod.plans_forced():
-            assert plan_mod.plans_enabled()
-        assert not plan_mod.plans_enabled()
-        monkeypatch.setenv("REPRO_PLANS", "1")
-        assert plan_mod.plans_enabled()
-        with plan_mod.plans_disabled():
-            assert not plan_mod.plans_enabled()
-        assert plan_mod.plans_enabled()
-    finally:
-        plan_mod.set_plans_enabled(None)
+# ----------------------------------------------------------------------
+# one plan for every rank: exact compile counts
+# ----------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, name):
+    calls = {"n": 0}
+    orig = getattr(plan_mod, name)
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(plan_mod, name, counted)
+    return calls
+
+
+def test_certify_compiles_each_block_set_once(monkeypatch):
+    """Certifying the 27-point alltoall on a (4, 4, 4) torus lowers the
+    schedule once for all 64 ranks: one shared compile makes 12
+    ``compile_blockset`` calls, and no per-rank plan is left behind."""
+    from repro.analyze.schedule_verifier import (
+        build_for_kind,
+        certify_schedule,
+    )
+    from repro.core.stencils import named_stencil
+
+    sched = build_for_kind("alltoall", named_stencil("27-point"))
+    calls = _count_calls(monkeypatch, "compile_blockset")
+    certify_schedule(sched, (4, 4, 4))
+    assert 0 < calls["n"] <= 24
+    assert len(sched._plans) == 1
+    (key,) = sched._plans
+    assert key[:2] == ((4, 4, 4), (True, True, True))
+
+
+def test_threaded_ranks_share_one_plan():
+    """Every rank thread runs the same cached plan object."""
+    sched, bufs = _schedule_and_buffers()
+    topo = CartTopology((3, 3))
+    rank_bufs = [
+        {k: v.copy() for k, v in bufs.items()} for _ in range(topo.size)
+    ]
+    get_backend("threaded").execute_all(topo, sched, rank_bufs)
+    assert len(sched._plans) == 1
+
+
+@shm_mark
+@pytest.mark.shm
+def test_shm_prefork_compiles_once(monkeypatch):
+    """The shm backend lowers the schedule once in the parent, not once
+    per rank; forked workers start with a cache hit."""
+    sched, bufs = _schedule_and_buffers()
+    topo = CartTopology((2, 2))
+    rank_bufs = [
+        {k: v.copy() for k, v in bufs.items()} for _ in range(topo.size)
+    ]
+    calls = _count_calls(monkeypatch, "compile_batched_plan")
+    get_backend("shm").execute_all(topo, sched, rank_bufs)
+    assert calls["n"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -646,9 +679,8 @@ class TestOpStatsCounters:
             t = cart.nbh.t
             send = np.zeros(t * 4, np.uint8)
             recv = np.zeros(t * 4, np.uint8)
-            with plan_mod.plans_forced():
-                cart.alltoall(send, recv, algorithm="combining")
-                cart.alltoall(send, recv, algorithm="combining")
+            cart.alltoall(send, recv, algorithm="combining")
+            cart.alltoall(send, recv, algorithm="combining")
             s = cart.stats
             packed = sum(s.bytes_packed.values())
             return (s.plan_hits + s.plan_misses, s.plan_hits >= 1, packed > 0)

@@ -583,12 +583,16 @@ class TestEvictionRacingBuilds:
             "recv": sum(sizes),
             "temp": max(1, sched.temp_nbytes),
         }
-        plan, hit = plan_mod.get_or_compile(sched, topo, 0, sizes=byte_sizes)
+        plan, hit = plan_mod.get_or_compile_batched(
+            sched, topo, sizes=byte_sizes
+        )
         assert not hit
         assert len(sched._plans) == 1
         generation = sched._plans_generation
         sched.clear_plans()
         assert sched._plans == {}
         assert sched._plans_generation == generation + 1
-        plan2, hit2 = plan_mod.get_or_compile(sched, topo, 0, sizes=byte_sizes)
+        plan2, hit2 = plan_mod.get_or_compile_batched(
+            sched, topo, sizes=byte_sizes
+        )
         assert not hit2 and plan2 is not plan

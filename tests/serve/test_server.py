@@ -18,7 +18,7 @@ from repro.serve.protocol import (
     encode_message,
     read_message,
 )
-from repro.serve.server import ScheduleServer
+from repro.serve.server import LATENCY_RESERVOIR, ScheduleServer, ServerStats
 
 TIMEOUT = 60.0
 
@@ -55,14 +55,15 @@ def reduce_dict(**over):
     return d
 
 
-def run_plan(plan, byte_sizes):
-    """Pack → loopback-deliver → local copies; returns the recv buffer."""
+def run_plan(view, byte_sizes):
+    """Pack → loopback-deliver → local copies over one rank's view of a
+    plan; returns the recv buffer."""
     rng = np.random.default_rng(0)
     buffers = {
         name: rng.integers(0, 256, n, dtype=np.uint8).copy()
         for name, n in byte_sizes.items()
     }
-    for phase in plan.phases:
+    for phase in view.phases:
         payloads = [
             rnd.send.pack(buffers) if rnd.send is not None else None
             for rnd in phase
@@ -70,7 +71,7 @@ def run_plan(plan, byte_sizes):
         for rnd, payload in zip(phase, payloads):
             if rnd.recv is not None and payload is not None:
                 rnd.recv.unpack(buffers, payload)
-    plan.run_local_copies(buffers)
+    view.copy_program.run(buffers)
     return buffers["recv"].copy()
 
 
@@ -99,6 +100,30 @@ class _GatedCache(ScheduleCache):
     def get_or_build(self, key, build, verify=None):
         assert self.release.wait(TIMEOUT), "test never released the gate"
         return super().get_or_build(key, build, verify)
+
+
+class TestServerStats:
+    def test_latency_reservoir_follows_late_samples(self):
+        """10,000 build latencies, the last 6,000 larger: a uniform
+        reservoir moves p50 to the larger value (keeping only the first
+        4096 samples froze it at the warm-up value)."""
+        stats = ServerStats()
+        for _ in range(4_000):
+            stats.note_latency(0.001)
+        for _ in range(6_000):
+            stats.note_latency(1.0)
+        assert stats.latencies_seen == 10_000
+        assert len(stats.build_latency) == LATENCY_RESERVOIR
+        assert stats.latency_percentile(0.50) == 1.0
+        assert stats.latency_percentile(0.01) == 0.001
+        assert stats.to_json()["build_latency_p50"] == 1.0
+
+    def test_latency_reservoir_is_seeded(self):
+        a, b = ServerStats(), ServerStats()
+        for i in range(3 * LATENCY_RESERVOIR):
+            a.note_latency(float(i))
+            b.note_latency(float(i))
+        assert a.build_latency == b.build_latency
 
 
 class TestDaemon:
@@ -360,9 +385,10 @@ class TestPlanService:
                 assert resp["shm"]["segment"] == server.plan_segment
                 # the mapped plan behaves exactly like a local compile
                 topo = CartTopology((3, 3), (True, True))
-                local = plan_mod.compile_plan(sched, topo, 0, byte_sizes)
+                local = plan_mod.compile_batched_plan(sched, topo, byte_sizes)
                 np.testing.assert_array_equal(
-                    run_plan(plan, byte_sizes), run_plan(local, byte_sizes)
+                    run_plan(plan.rank_view(0), byte_sizes),
+                    run_plan(local.rank_view(0), byte_sizes),
                 )
                 del plan  # release shm views before the client detaches
                 # a repeat answer comes straight out of the store
@@ -374,6 +400,74 @@ class TestPlanService:
                 stats = await client.stats()
                 assert stats["plan_store"]["entries"] == 1
                 assert stats["plan_store"]["used"] > 0
+            finally:
+                await _stop_and_close(server, client)
+
+        drive(main())
+
+
+    @pytest.mark.parametrize("rank", [-1, 9])
+    def test_plan_rank_out_of_range_rejected(self, tmp_path, rank):
+        """A rank outside [0, prod(dims)) is a protocol error before any
+        build: with one shared image, ``sources[-1]`` would otherwise
+        hand it the last rank's peers."""
+
+        async def main():
+            cache = ScheduleCache()
+            server = ScheduleServer(
+                sock_path(tmp_path), shm_plans=True, cache=cache
+            )
+            await server.start()
+            client = await AsyncScheduleClient.connect(server.address)
+            try:
+                d = stencil_dict()  # dims (3, 3): p = 9
+                d.update(rank=rank, sizes={"send": 32, "recv": 32})
+                with pytest.raises(ServeError, match="ProtocolError"):
+                    await client.request({"op": "plan", **d})
+                assert cache.info().builds == 0
+                assert server.stats.plans_published == 0
+                assert await client.ping()
+            finally:
+                await _stop_and_close(server, client)
+
+        drive(main())
+
+    def test_every_rank_shares_one_published_plan(self, tmp_path):
+        """p ranks requesting one schedule publish one image; each rank
+        runs its own view of it."""
+
+        async def main():
+            server = ScheduleServer(
+                sock_path(tmp_path), shm_plans=True, cache=ScheduleCache()
+            )
+            await server.start()
+            client = await AsyncScheduleClient.connect(server.address)
+            try:
+                req = ScheduleRequest.from_dict(stencil_dict())
+                sched = req.build()
+                sched.prepare()
+                byte_sizes = {
+                    "send": 32,
+                    "recv": 32,
+                    "temp": max(1, sched.temp_nbytes),
+                }
+                topo = CartTopology((3, 3), (True, True))
+                local = plan_mod.compile_batched_plan(sched, topo, byte_sizes)
+                offsets = set()
+                for rank in range(topo.size):
+                    d = req.to_dict("plan")
+                    d.update(rank=rank, sizes=dict(byte_sizes))
+                    plan, resp = await client.request_plan(
+                        ScheduleRequest.from_dict(d)
+                    )
+                    offsets.add(resp["shm"]["offset"])
+                    np.testing.assert_array_equal(
+                        run_plan(plan.rank_view(rank), byte_sizes),
+                        run_plan(local.rank_view(rank), byte_sizes),
+                    )
+                    del plan
+                assert len(offsets) == 1
+                assert server.stats.plans_published == 1
             finally:
                 await _stop_and_close(server, client)
 

@@ -25,6 +25,7 @@ NBH = moore_neighborhood(2, 1, include_self=False)
 
 
 def compiled_plan(rank=0, m=8, dims=(3, 3)):
+    """(rank view, shared plan, byte sizes) of a 2-D Moore alltoall."""
     sizes = [m] * NBH.t
     sched = build_alltoall_schedule(
         NBH,
@@ -38,7 +39,8 @@ def compiled_plan(rank=0, m=8, dims=(3, 3)):
         "recv": sum(sizes),
         "temp": max(1, sched.temp_nbytes),
     }
-    return plan_mod.compile_plan(sched, topo, rank, byte_sizes), byte_sizes
+    plan = plan_mod.compile_batched_plan(sched, topo, byte_sizes)
+    return plan.rank_view(rank), plan, byte_sizes
 
 
 def fresh_buffers(byte_sizes, seed=0):
@@ -49,11 +51,11 @@ def fresh_buffers(byte_sizes, seed=0):
     }
 
 
-def run_plan(plan, byte_sizes):
-    """Drive every kernel of a plan deterministically; returns the final
-    recv buffer (pack → loopback-deliver → local copies)."""
+def run_plan(view, byte_sizes):
+    """Drive every kernel of one rank's view deterministically; returns
+    the final recv buffer (pack → loopback-deliver → local copies)."""
     buffers = fresh_buffers(byte_sizes)
-    for phase in plan.phases:
+    for phase in view.phases:
         payloads = [
             rnd.send.pack(buffers) if rnd.send is not None else None
             for rnd in phase
@@ -61,35 +63,47 @@ def run_plan(plan, byte_sizes):
         for rnd, payload in zip(phase, payloads):
             if rnd.recv is not None and payload is not None:
                 rnd.recv.unpack(buffers, payload)
-    plan.run_local_copies(buffers)
+    view.copy_program.run(buffers)
     return buffers["recv"].copy()
 
 
 class TestPlanImage:
     def test_round_trip_is_byte_stable(self):
-        plan, _ = compiled_plan()
+        _, plan, _ = compiled_plan()
         image = plan_to_image(plan)
         back = plan_from_image(memoryview(image))
         # a second serialization of the reconstruction is byte-identical
         assert plan_to_image(back) == image
 
     def test_round_trip_preserves_execution(self):
-        plan, byte_sizes = compiled_plan()
+        _, plan, byte_sizes = compiled_plan()
         back = plan_from_image(memoryview(plan_to_image(plan)))
         assert back.kind == plan.kind
-        assert back.rank == plan.rank
+        assert back.p == plan.p
         assert back.wire_bytes == plan.wire_bytes
+        np.testing.assert_array_equal(
+            back.rank_wire_bytes, plan.rank_wire_bytes
+        )
         assert back.temp_nbytes == plan.temp_nbytes
         assert back.num_rounds == plan.num_rounds
-        np.testing.assert_array_equal(
-            run_plan(back, byte_sizes), run_plan(plan, byte_sizes)
-        )
+        # one image serves every rank
+        for rank in range(plan.p):
+            np.testing.assert_array_equal(
+                run_plan(back.rank_view(rank), byte_sizes),
+                run_plan(plan.rank_view(rank), byte_sizes),
+            )
 
     def test_reconstructed_selectors_are_read_only_views(self):
-        plan, _ = compiled_plan()
+        _, plan, _ = compiled_plan(m=2)
         image = plan_to_image(plan)
         back = plan_from_image(memoryview(image))
-        arrays = [
+        peers = [
+            vec
+            for phase in back.phases
+            for rnd in phase
+            for vec in (rnd.sources, rnd.targets)
+        ]
+        arrays = peers + [
             sel
             for phase in back.phases
             for rnd in phase
@@ -99,6 +113,7 @@ class TestPlanImage:
             for sel in (w, b)
             if isinstance(sel, np.ndarray)
         ]
+        assert len(arrays) > len(peers)
         for arr in arrays:
             assert not arr.flags.writeable
             assert arr.base is not None  # a view, not a copy
@@ -111,12 +126,12 @@ class TestPlanImage:
             sched, {"send": np.zeros(8, np.uint8),
                     "recv": np.zeros(8 * (NBH.t + 1), np.uint8)}
         )
-        plan = plan_mod.compile_plan(sched, topo, 0, sizes)
+        plan = plan_mod.compile_batched_plan(sched, topo, sizes)
         with pytest.raises(ScheduleError, match="process-local"):
             plan_to_image(plan)
 
     def test_truncated_image_is_typed(self):
-        plan, _ = compiled_plan()
+        _, plan, _ = compiled_plan()
         image = plan_to_image(plan)
         with pytest.raises(CorruptFrameError):
             plan_from_image(memoryview(image[:3]))
@@ -220,7 +235,7 @@ class TestStore:
             store.unlink()
 
     def test_plan_round_trip_through_store(self):
-        plan, byte_sizes = compiled_plan(rank=4)
+        view, plan, byte_sizes = compiled_plan(rank=4)
         store = ShmPlanStore.create()
         try:
             digest = key_digest(plan.key)
@@ -229,7 +244,8 @@ class TestStore:
             try:
                 back = plan_from_image(reader.payload_at(offset, nbytes))
                 np.testing.assert_array_equal(
-                    run_plan(back, byte_sizes), run_plan(plan, byte_sizes)
+                    run_plan(back.rank_view(4), byte_sizes),
+                    run_plan(view, byte_sizes),
                 )
                 del back  # release the zero-copy views before close
             finally:
