@@ -1,18 +1,25 @@
-"""Schedule-service benchmarks: sharded cache and daemon load.
+"""Schedule-service benchmarks: cache concurrency and daemon load.
 
-Two effects are measured and persisted (``benchmarks/out/serve.txt`` /
+Three cases are measured and persisted (``benchmarks/out/serve.txt`` /
 ``serve.json``; with ``REPRO_PERF_GATE=1`` the JSON is compared against
 the committed baseline ``benchmarks/BENCH_serve.json``):
 
-* **sharded-cache concurrency** — eight threads driving concurrent
-  *misses* (distinct keys, GIL-releasing builds: the regime of many
-  rank threads warming one cold cache) through the sharded single-flight
-  :class:`~repro.core.schedule_cache.ScheduleCache` versus the
-  pre-sharding reference design, one global mutex held across every
-  build.  Acceptance (the ISSUE's bar): **>= 2x**.  The speedup comes
-  from two layers: distinct keys build outside any lock (single-flight
-  events instead of lock-across-build), and hits on different shards
-  never contend on one mutex.
+* **cache concurrency, stand-in builds** (gated) — eight threads driving
+  concurrent *misses* (distinct keys, GIL-releasing 2 ms ``sleep``
+  builds: the regime of many rank threads warming one cold cache)
+  through the single-flight
+  :class:`~repro.core.schedule_cache.ScheduleCache` versus a reference
+  design holding one global mutex across every build.  Bar: **>= 2x**.
+  The whole speedup comes from building outside the lock.  The case
+  keeps its historical name ``sharded-cache`` (and field ``sharded_s``)
+  so the gate still finds its baseline entry; the cache is no longer
+  sharded.
+* **cache concurrency, real builds** (reported, not gated) — the same
+  driver with real
+  :func:`~repro.core.alltoall_schedule.build_alltoall_schedule` builds
+  on distinct keys.  They mostly hold the interpreter lock, so
+  this number shows what building outside the lock buys on the real
+  code path, next to the stand-in's.
 * **daemon load** — one :class:`~repro.serve.server.ScheduleServer`
   answering a mixed stencil+reduction workload from >= 1000 concurrent
   connections (``BENCH_SMOKE`` reduces the count).  All clients connect
@@ -32,7 +39,10 @@ import threading
 import time
 
 from benchmarks.conftest import write_artifact, write_json_artifact
+from repro.core.alltoall_schedule import build_alltoall_schedule
+from repro.core.schedule import uniform_block_layout
 from repro.core.schedule_cache import ScheduleCache
+from repro.core.stencils import moore_neighborhood
 from repro.serve.protocol import encode_message, read_message
 from repro.serve.server import ScheduleServer
 
@@ -66,8 +76,8 @@ class _Built:
 
 
 class SingleLockCache:
-    """The pre-sharding reference design: one global mutex held across
-    the build, so concurrent misses serialize behind each other."""
+    """The reference design: one global mutex held across the build, so
+    concurrent misses serialize behind each other."""
 
     def __init__(self, maxsize=4096):
         self.maxsize = maxsize
@@ -86,20 +96,36 @@ class SingleLockCache:
             return sched, False, seconds
 
 
-def _drive_misses(cache, tag):
+def _sleep_build(t, k):
+    time.sleep(BUILD_S)
+    return _Built()
+
+
+#: the real-build case: 3-D Moore combining alltoall, a distinct block
+#: size per key so every key is a fresh build; prepared here so both
+#: caches do the same work (the schedule cache prepares what it files)
+REAL_NBH = moore_neighborhood(3, 1, include_self=False)
+
+
+def _real_build(t, k):
+    sizes = [8 * (1 + t * KEYS_PER_THREAD + k)] * REAL_NBH.t
+    return build_alltoall_schedule(
+        REAL_NBH,
+        list(uniform_block_layout(sizes, "send")),
+        list(uniform_block_layout(sizes, "recv")),
+    ).prepare()
+
+
+def _drive_misses(cache, tag, build=_sleep_build):
     """8 threads, each building its own distinct key set; returns the
     wall time from barrier release to last thread done."""
     barrier = threading.Barrier(THREADS)
     done = []
 
-    def build():
-        time.sleep(BUILD_S)
-        return _Built()
-
     def worker(t):
         barrier.wait()
         for k in range(KEYS_PER_THREAD):
-            cache.get_or_build((tag, t, k), build)
+            cache.get_or_build((tag, t, k), lambda: build(t, k))
 
     threads = [
         threading.Thread(target=worker, args=(t,)) for t in range(THREADS)
@@ -113,34 +139,38 @@ def _drive_misses(cache, tag):
     return done[0]
 
 
-def test_sharded_cache_concurrent_miss_speedup():
-    """Acceptance: the sharded single-flight cache is >= 2x faster than
-    the lock-across-build reference under 8 threads of concurrent
-    misses."""
-    best_single = float("inf")
-    best_sharded = float("inf")
-    for round_no in range(CACHE_ROUNDS):
+def _race(build, rounds):
+    """Best-of-``rounds`` wall times: lock-across-build vs the cache."""
+    best_single = best_cache = float("inf")
+    for round_no in range(rounds):
         best_single = min(
             best_single,
-            _drive_misses(SingleLockCache(), ("single", round_no)),
+            _drive_misses(SingleLockCache(), ("single", round_no), build),
         )
-        best_sharded = min(
-            best_sharded,
+        best_cache = min(
+            best_cache,
             _drive_misses(
-                ScheduleCache(maxsize=4096, shards=THREADS),
-                ("sharded", round_no),
+                ScheduleCache(maxsize=4096), ("cache", round_no), build
             ),
         )
-    speedup = best_single / best_sharded
+    return best_single, best_cache
+
+
+def test_cache_concurrent_miss_speedup():
+    """Acceptance: the single-flight cache is >= 2x faster than the
+    lock-across-build reference under 8 threads of concurrent misses
+    with GIL-releasing stand-in builds."""
+    best_single, best_cache = _race(_sleep_build, CACHE_ROUNDS)
+    speedup = best_single / best_cache
     ideal = THREADS * KEYS_PER_THREAD * BUILD_S
     text = (
-        "sharded single-flight cache vs lock-across-build reference\n"
+        "single-flight cache vs lock-across-build reference\n"
         f"{THREADS} threads x {KEYS_PER_THREAD} distinct keys, "
-        f"{BUILD_S * 1e3:.1f} ms GIL-releasing builds, "
+        f"{BUILD_S * 1e3:.1f} ms GIL-releasing stand-in builds, "
         f"best of {CACHE_ROUNDS}\n\n"
         f"  single lock : {best_single * 1e3:8.1f} ms "
         f"(serialized floor {ideal * 1e3:.1f} ms)\n"
-        f"  sharded     : {best_sharded * 1e3:8.1f} ms\n"
+        f"  cache       : {best_cache * 1e3:8.1f} ms\n"
         f"  speedup     : {speedup:8.1f}x (bar: 2.0x)"
     )
     print("\n" + text)
@@ -153,11 +183,41 @@ def test_sharded_cache_concurrent_miss_speedup():
             "keys_per_thread": KEYS_PER_THREAD,
             "build_s": BUILD_S,
             "single_lock_s": best_single,
-            "sharded_s": best_sharded,
+            "sharded_s": best_cache,
             "speedup": speedup,
         },
     )
     assert speedup >= 2.0, text
+
+
+def test_cache_concurrent_miss_real_builds():
+    """The same race with real schedule builds; reported, not gated
+    (no baseline entry): real builds mostly hold the interpreter lock,
+    so building outside the cache's lock overlaps little of them."""
+    best_single, best_cache = _race(_real_build, CACHE_ROUNDS)
+    speedup = best_single / best_cache
+    text = (
+        "single-flight cache vs lock-across-build, real builds\n"
+        f"{THREADS} threads x {KEYS_PER_THREAD} distinct keys, "
+        f"build_alltoall_schedule (3-D Moore, t={REAL_NBH.t}), "
+        f"best of {CACHE_ROUNDS}\n\n"
+        f"  single lock : {best_single * 1e3:8.1f} ms\n"
+        f"  cache       : {best_cache * 1e3:8.1f} ms\n"
+        f"  speedup     : {speedup:8.2f}x (reported, not gated)"
+    )
+    print("\n" + text)
+    _persist_case(
+        "cache-real",
+        text,
+        {
+            "case": "real-build-cache",
+            "threads": THREADS,
+            "keys_per_thread": KEYS_PER_THREAD,
+            "single_lock_s": best_single,
+            "cache_s": best_cache,
+            "speedup": speedup,
+        },
+    )
 
 
 def _workload_mix():
@@ -251,8 +311,6 @@ async def _load_run(path):
             "builds": stats.builds,
             "single_flight_hits": stats.single_flight_hits,
             "ready_hits": stats.ready_hits,
-            "batches": stats.batches,
-            "batch_max": stats.batch_max,
         }
     finally:
         await server.stop()
@@ -270,9 +328,7 @@ def test_daemon_sustains_concurrent_clients(tmp_path):
         f"  latency p99        : {load['latency_p99_s'] * 1e3:9.1f} ms\n"
         f"  builds             : {load['builds']:9d}\n"
         f"  single-flight hits : {load['single_flight_hits']:9d}\n"
-        f"  ready-mirror hits  : {load['ready_hits']:9d}\n"
-        f"  batches (max)      : {load['batches']:d} "
-        f"({load['batch_max']})"
+        f"  ready-mirror hits  : {load['ready_hits']:9d}"
     )
     print("\n" + text)
     _persist_case("load", text, None, load=load)

@@ -20,6 +20,9 @@ Modules
     Algorithm 2 — the allgather routing tree and its schedule.
 ``schedule``
     shared schedule representation (phases, rounds, block sets).
+``single_flight``
+    the one build-once-share-it primitive behind the schedule cache, the
+    plan cache and the schedule server.
 ``schedule_cache``
     process-wide, thread-safe LRU of built schedules keyed by the
     canonical (kind, neighborhood, layout, block-signature) fingerprint.
@@ -28,14 +31,10 @@ Modules
     (shared pack/unpack kernels, per-rank peer vectors, fused local
     copies) and the size-classed scratch ``BufferPool``.
 ``backend``
-    execution backends: the ``Transport`` verb protocol, the single
-    schedule interpreter shared by every execution mode, and the
+    execution backends (Listing 5): the ``Transport`` verb protocol, the
+    single schedule interpreter shared by every execution mode, and the
     ``threaded`` / ``lockstep`` / ``shm`` backends behind
     ``CartComm(backend=...)`` and ``$REPRO_BACKEND``.
-``executor`` / ``lockstep``
-    Listing 5 — thin front-ends over ``backend``: blocking execution on
-    the threaded engine, and the deterministic all-ranks executor for
-    correctness tests at large p.
 ``cartcomm``
     the public API of Listings 1 and 2 (``cart_neighborhood_create``,
     ``CartComm`` with alltoall/allgather in regular, v and w variants,

@@ -36,12 +36,12 @@ and shm backends and the split-phase front-ends run — the shm
 transport's ``pack_into`` packs straight into its shared-memory slot
 through the shared index arrays.
 
-Plans are cached on the schedule object itself (``Schedule._plans``)
-under ``(dims, periods, buffer signature)`` — no rank — so they share
-the lifetime of the schedule-cache entry they belong to and are
-invalidated with it; compilation is single-flight.  The uncompiled
-block-set walk survives once, as the named reference of
-:mod:`repro.core.backend.reference`.
+Plans are cached on the schedule object itself (``Schedule._plans``, a
+:class:`~repro.core.single_flight.SingleFlight` table) under ``(dims,
+periods, buffer signature)`` — no rank — so they share the lifetime of
+the schedule-cache entry they belong to and are invalidated with it;
+compilation is single-flight.  The uncompiled block-set walk survives
+once, as the named reference of :mod:`repro.core.backend.reference`.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ import weakref
 from collections import namedtuple
 from typing import (
     TYPE_CHECKING,
-    Any,
-    Callable,
     Mapping,
     Optional,
     Sequence,
@@ -799,13 +797,8 @@ def _compile_combines(
 # the per-schedule plan cache
 # ---------------------------------------------------------------------------
 
-_CACHE_LOCK = threading.Lock()
-#: (schedule identity, plan key) -> Event for compiles in flight: plan
-#: compilation is single-flight per key but runs *outside* the module
-#: lock, so concurrent compilation — distinct schedules or layouts, the
-#: schedule service's worker pool — never serializes on one global
-#: lock.
-_BUILDING: dict[tuple, threading.Event] = {}
+#: process-wide plan counters over every schedule's plan table
+_COUNTER_LOCK = threading.Lock()
 _hits = 0
 _misses = 0
 _compile_seconds = 0.0
@@ -813,57 +806,6 @@ _compile_seconds = 0.0
 PlanCacheInfo = namedtuple(
     "PlanCacheInfo", ["hits", "misses", "compile_seconds"]
 )
-
-
-def invalidate_plans(schedule: "Schedule") -> None:
-    """Drop every cached plan of ``schedule`` and bump its
-    plan generation (under the module lock), so a compile that was in
-    flight when the invalidation happened can never file its result
-    afterwards — the backing store of
-    :meth:`~repro.core.schedule.Schedule.clear_plans`."""
-    with _CACHE_LOCK:
-        schedule._plans.clear()
-        schedule._plans_generation += 1
-
-
-def _get_or_compile_cached(
-    schedule: "Schedule",
-    key: tuple,
-    compile_fn: "Callable[[], Any]",
-) -> tuple[Any, bool]:
-    """Single-flight plan cache: one compile per key however many
-    threads ask, the compile itself outside the lock, and a generation
-    guard so a compile racing :func:`invalidate_plans` is returned to
-    its caller but never cached (no resurrected entries, no leaked
-    plans)."""
-    global _hits, _misses, _compile_seconds
-    cache = schedule._plans
-    token = (id(schedule), key)
-    while True:
-        with _CACHE_LOCK:
-            plan = cache.get(key)
-            if plan is not None:
-                _hits += 1
-                return plan, True
-            pending = _BUILDING.get(token)
-            if pending is None:
-                pending = _BUILDING[token] = threading.Event()
-                generation = schedule._plans_generation
-                break
-        # another thread is compiling this key: wait and re-check
-        pending.wait()
-    try:
-        compiled = compile_fn()
-        with _CACHE_LOCK:
-            _misses += 1
-            _compile_seconds += compiled.compile_seconds
-            if schedule._plans_generation == generation:
-                cache[key] = compiled
-        return compiled, False
-    finally:
-        with _CACHE_LOCK:
-            _BUILDING.pop(token, None)
-        pending.set()
 
 
 def effective_sizes(
@@ -1488,24 +1430,34 @@ def get_or_compile_batched(
 ) -> tuple[BatchedPlan, bool]:
     """Return ``(plan, hit)`` — the schedule's cached plan for ``topo``
     and this buffer layout, or a freshly compiled one.  Plans live in
-    ``Schedule._plans`` (invalidated with the schedule-cache entry);
-    compilation is single-flight per key and runs outside the module
-    lock, so compiles of distinct schedules proceed concurrently."""
+    ``Schedule._plans``, a :class:`~repro.core.single_flight.SingleFlight`
+    table invalidated with the schedule-cache entry: compilation is
+    single-flight per key and runs outside every lock, so compiles of
+    distinct schedules proceed concurrently, and a compile racing
+    :meth:`~repro.core.schedule.Schedule.clear_plans` is returned but
+    never filed."""
+    global _hits, _misses, _compile_seconds
     if sizes is None:
         if buffers is None:
             raise ValueError("need buffers or sizes to key a plan")
         sizes = effective_sizes(schedule, buffers)
     frozen_sizes = dict(sizes)
-    return _get_or_compile_cached(
-        schedule,
+    plan, hit, _seconds = schedule._plans.get_or_build(
         _cache_key(topo, frozen_sizes),
         lambda: compile_batched_plan(schedule, topo, frozen_sizes),
     )
+    with _COUNTER_LOCK:
+        if hit:
+            _hits += 1
+        else:
+            _misses += 1
+            _compile_seconds += plan.compile_seconds
+    return plan, hit
 
 
 def plan_cache_info() -> PlanCacheInfo:
     """Process-wide plan-compilation counters (all schedules)."""
-    with _CACHE_LOCK:
+    with _COUNTER_LOCK:
         return PlanCacheInfo(
             hits=_hits, misses=_misses, compile_seconds=_compile_seconds
         )
@@ -1514,7 +1466,7 @@ def plan_cache_info() -> PlanCacheInfo:
 def plan_cache_reset() -> None:
     """Reset the process-wide plan counters (tests)."""
     global _hits, _misses, _compile_seconds
-    with _CACHE_LOCK:
+    with _COUNTER_LOCK:
         _hits = 0
         _misses = 0
         _compile_seconds = 0.0

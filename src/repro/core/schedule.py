@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.analyze.report import ScheduleValidationError
 from repro.core.neighborhood import Neighborhood
+from repro.core.single_flight import SingleFlight
 from repro.mpisim.datatypes import BlockRef, BlockSet, byte_view
 from repro.mpisim.exceptions import ScheduleError
 
@@ -181,15 +182,12 @@ class Schedule:
         default=None, repr=False, compare=False
     )
     #: lowered execution plans (one per topology and buffer layout),
-    #: keyed and populated by :mod:`repro.core.plan` (under its lock).
-    #: Living on the schedule object, they share its cache lifetime:
-    #: evicting the schedule-cache entry invalidates its plans with it.
-    _plans: dict[tuple, object] = field(
-        default_factory=dict, repr=False, compare=False
+    #: keyed and populated by :mod:`repro.core.plan`.  Living on the
+    #: schedule object, they share its cache lifetime: evicting the
+    #: schedule-cache entry invalidates its plans with it.
+    _plans: SingleFlight = field(
+        default_factory=SingleFlight, repr=False, compare=False
     )
-    #: bumped by :meth:`clear_plans` (under the plan-module lock) so a
-    #: plan compile racing an invalidation never files its result
-    _plans_generation: int = field(default=0, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # metrics (Propositions 3.2 / 3.3)
@@ -320,11 +318,8 @@ class Schedule:
     def clear_plans(self) -> None:
         """Drop all lowered plans (called when this schedule's cache
         entry is evicted; plans recompile lazily on the next execution).
-        A compile in flight when this runs is never cached afterwards
-        (generation guard in the plan module)."""
-        from repro.core import plan as plan_mod
-
-        plan_mod.invalidate_plans(self)
+        A compile in flight when this runs is never cached afterwards."""
+        self._plans.clear()
 
     def run_local_copies(self, buffers: Mapping[str, np.ndarray]) -> int:
         """Execute the final non-communication phase; returns bytes

@@ -34,9 +34,10 @@ def program_from_schedule(
     schedule: Schedule, topo: CartTopology, rank: int
 ) -> list[Op]:
     """Synthesize rank ``rank``'s program for one execution of
-    ``schedule`` on ``topo`` (mirrors
-    :func:`repro.core.executor.execute_schedule`, including the
-    receive-before-send posting order)."""
+    ``schedule`` on ``topo`` (mirrors one rank's
+    :class:`~repro.core.backend.interpreter.ScheduleInterpreter` over the
+    threaded transport, including the receive-before-send posting
+    order)."""
     ops: list[Op] = []
     for phase in schedule.phases:
         posted = 0

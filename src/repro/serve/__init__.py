@@ -11,9 +11,10 @@ economy over a socket:
   (length-prefixed, CRC-guarded frames from
   :mod:`repro.core.serialize`) and the schedule-request model mapping
   requests onto the canonical cache fingerprint and builder registry;
-* :mod:`repro.serve.server` — the asyncio daemon: request batching,
-  cross-connection single-flight dedup, a worker pool for builds, and
-  verifier certification before any schedule is first served;
+* :mod:`repro.serve.server` — the asyncio daemon: cross-connection
+  single-flight dedup (joins wait on the event loop), a worker pool for
+  builds, and verifier certification before any schedule is first
+  served;
 * :mod:`repro.serve.client` — sync and asyncio clients;
 * :mod:`repro.serve.shm_plans` — the shared-memory plan store: a
   compiled :class:`~repro.core.plan.BatchedPlan` is published once per

@@ -26,8 +26,8 @@ Requests are JSON objects with an ``op`` field:
     it in the shared-memory plan store, answering with a ``(segment,
     offset, nbytes)`` reference the client maps zero-copy.
 ``stats``
-    telemetry snapshot: server counters, schedule-cache counters
-    (including per-shard contention), plan-cache counters, and the
+    telemetry snapshot: server counters, schedule-cache counters,
+    plan-cache counters, and the
     server's :class:`~repro.core.opstats.OpStats` in its
     :meth:`~repro.core.opstats.OpStats.to_json` form.
 ``shutdown``

@@ -2,26 +2,26 @@
 
 One asyncio event loop accepts any number of connections; schedule
 construction, verifier certification and plan lowering run on a small
-thread pool.  Three mechanisms keep the daemon ahead of its clients:
+thread pool.  Every table the daemon keeps is a
+:class:`~repro.core.single_flight.SingleFlight`, the primitive the
+schedule and plan caches run on:
 
-* **request batching** — connection handlers never dispatch builds
-  themselves; they enqueue and kick a drain task, which collects every
-  request that arrived since the last drain into one batch and launches
-  the batch's builds together.  The event loop keeps accepting and
-  parsing frames while the pool compiles.
 * **cross-connection single-flight** — requests are identified by the
   canonical schedule-cache fingerprint
-  (:meth:`~repro.serve.protocol.ScheduleRequest.canonical_key`); all
-  concurrent requests for one key share one in-flight build future.
+  (:meth:`~repro.serve.protocol.ScheduleRequest.canonical_key`).  The
+  first request for a key claims it and runs the build on the pool;
+  every concurrent request for the key joins that flight by awaiting
+  its future on the event loop, so no pool thread is parked on a join.
   ``N`` identical concurrent requests cost **one** build and ``N-1``
-  single-flight joins, and the join count is exported in telemetry.
+  single-flight joins, and the join count is exported in telemetry.  A
+  failed build fails every joined request with the same error.
 * **certification before first service** — a freshly built schedule is
   verified (:func:`repro.analyze.schedule_verifier.certify_schedule`)
   inside the cache's single-flight section, so no uncertified schedule
   is ever answered — and no schedule is certified twice.
 
-Served payloads (the schedule's serialized dict) are memoized in a
-bounded mirror keyed by the same fingerprint: a repeat request is
+The served payloads (the schedule's serialized dict) are the entries of
+that table, bounded to ``READY_MIRROR_SIZE``: a repeat request is
 answered straight off the event loop without touching the pool.  This
 mirror can never go stale — the fingerprint *determines* the schedule
 content (schedules are pure data), so eviction from the underlying
@@ -32,7 +32,8 @@ With ``shm_plans=True`` the daemon also owns a
 the schedule once per buffer layout — the plan is rank-invariant, so
 every rank of the topology shares one image — and publish it into the
 store, answering with a ``(segment, offset, nbytes)`` reference that
-same-machine clients map zero-copy.
+same-machine clients map zero-copy.  Plan requests run through a second
+table of the same kind, keyed by the image digest.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import asyncio
 import json
 import math
 import random
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -52,6 +52,7 @@ from repro.core import schedule_cache
 from repro.core.opstats import OpStats
 from repro.core.schedule import Schedule
 from repro.core.serialize import FrameError, schedule_to_dict
+from repro.core.single_flight import SingleFlight
 from repro.core.topology import CartTopology
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -63,7 +64,8 @@ from repro.serve.protocol import (
 )
 from repro.serve.shm_plans import ShmPlanStore, key_digest, plan_to_image
 
-#: served-payload mirror entries kept (responses, not schedules)
+#: served-payload mirror entries kept (responses, not schedules); the
+#: published-plan mirror keeps as many plan references
 READY_MIRROR_SIZE = 1024
 #: build-latency samples kept for the p50/p99 telemetry
 LATENCY_RESERVOIR = 4096
@@ -81,9 +83,6 @@ class ServerStats:
     ready_hits: int = 0
     #: joined another connection's in-flight build
     single_flight_hits: int = 0
-    #: drain-loop batches and the largest batch seen
-    batches: int = 0
-    batch_max: int = 0
     builds: int = 0
     build_failures: int = 0
     protocol_errors: int = 0
@@ -125,8 +124,6 @@ class ServerStats:
             "requests": dict(sorted(self.requests.items())),
             "ready_hits": self.ready_hits,
             "single_flight_hits": self.single_flight_hits,
-            "batches": self.batches,
-            "batch_max": self.batch_max,
             "builds": self.builds,
             "build_failures": self.build_failures,
             "protocol_errors": self.protocol_errors,
@@ -169,17 +166,13 @@ class ScheduleServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._drain_task: Optional[asyncio.Task] = None
         self._stopped: Optional[asyncio.Event] = None
-        self._kick: Optional[asyncio.Event] = None
-        #: canonical key -> future all concurrent requesters share
-        self._inflight: dict[tuple, "asyncio.Future[tuple]"] = {}
-        #: plan digest -> future (same dedup for plan lowering)
-        self._plan_inflight: dict[str, "asyncio.Future[tuple]"] = {}
-        #: requests awaiting the next drain: (key, request)
-        self._pending: list[tuple[tuple, ScheduleRequest]] = []
         #: canonical key -> served schedule dict (see module docstring)
-        self._ready: "OrderedDict[tuple, dict]" = OrderedDict()
+        self._ready = SingleFlight(READY_MIRROR_SIZE)
+        #: plan digest -> (offset, nbytes) of the published image
+        self._plans = SingleFlight(READY_MIRROR_SIZE)
+        #: builds running on the pool, one per flight (stop() cancels)
+        self._builds: set = set()
         #: live connection handler tasks and writers (closed by stop())
         self._conn_tasks: set = set()
         self._writers: set = set()
@@ -191,8 +184,6 @@ class ScheduleServer:
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )
         self._stopped = asyncio.Event()
-        self._kick = asyncio.Event()
-        self._drain_task = asyncio.create_task(self._drain_loop())
         if self.path is not None:
             self._server = await asyncio.start_unix_server(
                 self._handle, path=self.path
@@ -225,26 +216,19 @@ class ScheduleServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # unblock handlers parked in read_message, then wait them out
+        # close every connection and fail every flight, so no handler
+        # stays parked on a read or a build, then wait the handlers out;
+        # a build already running on the pool finishes on its own
         for writer in list(self._writers):
             writer.close()
+        for build in list(self._builds):
+            build.cancel()
         if self._conn_tasks:
             await asyncio.gather(
                 *list(self._conn_tasks), return_exceptions=True
             )
-        if self._drain_task is not None:
-            assert self._kick is not None
-            self._kick.set()
-            await self._drain_task
-        for fut in list(self._inflight.values()) + list(
-            self._plan_inflight.values()
-        ):
-            if not fut.done():
-                fut.cancel()
-        self._inflight.clear()
-        self._plan_inflight.clear()
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=False, cancel_futures=True)
         if self._plan_store is not None:
             self._plan_store.close()
             self._plan_store.unlink()
@@ -264,8 +248,6 @@ class ScheduleServer:
             while not stop_after:
                 try:
                     message = await read_message(reader)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
                 except (FrameError, ProtocolError) as exc:
                     # the stream may be desynchronized: answer, then close
                     self.stats.protocol_errors += 1
@@ -279,6 +261,8 @@ class ScheduleServer:
                 )
                 writer.write(encode_message(response))
                 await writer.drain()
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass  # the peer hung up, or stop() closed the connection
         finally:
             self._writers.discard(writer)
             if task is not None:
@@ -326,28 +310,62 @@ class ScheduleServer:
     # -- the schedule pipeline -----------------------------------------
     async def _resolve_schedule(self, request: ScheduleRequest) -> dict:
         key = request.canonical_key()
-        ready = self._ready.get(key)
-        if ready is not None:
-            self._ready.move_to_end(key)
+        payload, flight, owner = self._ready.claim(key)
+        if flight is None:
             self.stats.ready_hits += 1
             self.opstats.record_cache(True, backend="serve")
-            return self._ok_schedule(ready, hit=True, single_flight=False)
-        inflight = self._inflight.get(key)
-        if inflight is not None:
+            return self._ok_schedule(payload, hit=True, single_flight=False)
+        if owner:
+            build = self._launch(
+                self._ready, key, self._build_certified, request, key
+            )
+        else:
             self.stats.single_flight_hits += 1
-            payload, _seconds, _hit = await asyncio.shield(inflight)
+        payload, _filed = await asyncio.wrap_future(flight)
+        if not owner:
             self.opstats.record_cache(True, backend="serve")
             return self._ok_schedule(payload, hit=True, single_flight=True)
-        assert self._loop is not None and self._kick is not None
-        future: "asyncio.Future[tuple]" = self._loop.create_future()
-        self._inflight[key] = future
-        self._pending.append((key, request))
-        self._kick.set()
-        payload, seconds, hit = await asyncio.shield(future)
+        _payload, seconds, hit = build.result()
+        if not hit:
+            self.stats.builds += 1
+            self.stats.note_latency(seconds)
         self.opstats.record_cache(hit, seconds, backend="serve")
         return self._ok_schedule(
             payload, hit=hit, single_flight=False, build_seconds=seconds
         )
+
+    def _launch(
+        self, table: SingleFlight, key: Any, work: Callable[..., tuple],
+        *args: Any,
+    ) -> "asyncio.Future[tuple]":
+        """Run ``work(*args)`` on the pool for the owner of ``key``'s
+        flight in ``table``.  When it ends, the flight settles with the
+        first item of its result or with its error, so the owner and
+        every joiner, all awaiting the flight, get the same outcome;
+        :meth:`stop` cancels the builds still running, which fails their
+        flights."""
+        assert self._loop is not None and self._stopped is not None
+        try:
+            if self._stopped.is_set():  # stop() may be past its cancels
+                raise ServeError("server stopped")
+            build = self._loop.run_in_executor(self._pool, work, *args)
+        except BaseException as exc:
+            table.settle(key, error=exc)
+            raise
+        self._builds.add(build)
+
+        def settle(done: "asyncio.Future[tuple]") -> None:
+            self._builds.discard(done)
+            if done.cancelled():
+                table.settle(key, error=ServeError("server stopped"))
+            elif done.exception() is not None:
+                self.stats.build_failures += 1
+                table.settle(key, error=done.exception())
+            else:
+                table.settle(key, done.result()[0])
+
+        build.add_done_callback(settle)
+        return build
 
     def _ok_schedule(
         self,
@@ -367,56 +385,10 @@ class ScheduleServer:
             "certified": self.verify,
         }
 
-    async def _drain_loop(self) -> None:
-        """Collect everything that arrived since the last drain into one
-        batch and launch the batch's builds on the pool together."""
-        assert self._kick is not None and self._stopped is not None
-        while True:
-            await self._kick.wait()
-            self._kick.clear()
-            if self._stopped.is_set():
-                for key, _request in self._pending:
-                    fut = self._inflight.pop(key, None)
-                    if fut is not None and not fut.done():
-                        fut.cancel()
-                self._pending.clear()
-                return
-            batch, self._pending = self._pending, []
-            if not batch:
-                continue
-            self.stats.batches += 1
-            self.stats.batch_max = max(self.stats.batch_max, len(batch))
-            for key, request in batch:
-                asyncio.ensure_future(self._run_build(key, request))
-
-    async def _run_build(self, key: tuple, request: ScheduleRequest) -> None:
-        future = self._inflight.get(key)
-        if future is None or future.done():
-            return
-        assert self._loop is not None and self._pool is not None
-        try:
-            payload, seconds, hit = await self._loop.run_in_executor(
-                self._pool, self._build_certified, request, key
-            )
-            if not hit:
-                self.stats.builds += 1
-                self.stats.note_latency(seconds)
-            self._remember(key, payload)
-            if not future.done():
-                future.set_result((payload, seconds, hit))
-        except Exception as exc:
-            self.stats.build_failures += 1
-            if not future.done():
-                future.set_exception(exc)
-                # the requester that registered the future always awaits
-                # it; nothing is left unretrieved
-        finally:
-            self._inflight.pop(key, None)
-
     def _build_certified(
         self, request: ScheduleRequest, key: tuple
     ) -> tuple[dict, float, bool]:
-        """Worker-thread body: build-or-fetch through the sharded cache
+        """Worker-thread body: build-or-fetch through the schedule cache
         (certification runs inside its single-flight section) and
         serialize the schedule once."""
         sched, hit, seconds = self._cache.get_or_build(
@@ -446,12 +418,6 @@ class ScheduleServer:
 
         return check
 
-    def _remember(self, key: tuple, payload: dict) -> None:
-        self._ready[key] = payload
-        self._ready.move_to_end(key)
-        while len(self._ready) > READY_MIRROR_SIZE:
-            self._ready.popitem(last=False)
-
     # -- plans ---------------------------------------------------------
     async def _resolve_plan(self, request: ScheduleRequest) -> dict:
         if self._plan_store is None:
@@ -475,32 +441,23 @@ class ScheduleServer:
         # the plan is rank-invariant: one image per schedule and layout
         key = request.canonical_key()
         digest = key_digest((key, request.sizes))
-        inflight = self._plan_inflight.get(digest)
-        if inflight is not None:
-            self.stats.single_flight_hits += 1
-            offset, nbytes, plan_hit = await asyncio.shield(inflight)
-            return self._ok_plan(digest, offset, nbytes, plan_hit)
-        assert self._loop is not None and self._pool is not None
-        future: "asyncio.Future[tuple]" = self._loop.create_future()
-        self._plan_inflight[digest] = future
-        try:
-            offset, nbytes, plan_hit = await self._loop.run_in_executor(
-                self._pool, self._build_plan, request, key, digest
+        published, flight, owner = self._plans.claim(digest)
+        if flight is None:
+            return self._ok_plan(digest, *published, plan_hit=True)
+        if owner:
+            build = self._launch(
+                self._plans, digest, self._build_plan, request, key, digest
             )
-            if not future.done():
-                future.set_result((offset, nbytes, plan_hit))
-        except Exception as exc:
-            if not future.done():
-                future.set_exception(exc)
-            raise
-        finally:
-            self._plan_inflight.pop(digest, None)
+        else:
+            self.stats.single_flight_hits += 1
+        published, _filed = await asyncio.wrap_future(flight)
+        plan_hit = not owner or build.result()[1]
         if not plan_hit:
             self.stats.plans_published += 1
-        return self._ok_plan(digest, offset, nbytes, plan_hit)
+        return self._ok_plan(digest, *published, plan_hit=plan_hit)
 
     def _ok_plan(
-        self, digest: str, offset: int, nbytes: int, plan_hit: bool
+        self, digest: str, offset: int, nbytes: int, *, plan_hit: bool
     ) -> dict:
         assert self._plan_store is not None
         return {
@@ -517,15 +474,16 @@ class ScheduleServer:
 
     def _build_plan(
         self, request: ScheduleRequest, key: tuple, digest: str
-    ) -> tuple[int, int, bool]:
+    ) -> tuple[tuple[int, int], bool]:
         """Worker-thread body: certified schedule, lowering, publish into
-        the shared store (idempotent on the digest)."""
+        the shared store (idempotent on the digest).  Returns ``((offset,
+        nbytes), plan_hit)``."""
         store = self._plan_store
         if store is None:
             raise ServeError("plan store closed")
         existing = store.locate(digest)
         if existing is not None:
-            return existing[0], existing[1], True
+            return existing, True
         sched, _hit, _seconds = self._cache.get_or_build(
             key, request.build, self._verifier(request)
         )
@@ -536,8 +494,7 @@ class ScheduleServer:
         plan_obj, _plan_hit = plan_mod.get_or_compile_batched(
             sched, topo, sizes=sizes
         )
-        offset, nbytes = store.put(digest, plan_to_image(plan_obj))
-        return offset, nbytes, False
+        return store.put(digest, plan_to_image(plan_obj)), False
 
     # -- telemetry -----------------------------------------------------
     def _stats_payload(self) -> dict:
@@ -547,7 +504,6 @@ class ScheduleServer:
             "protocol": PROTOCOL_VERSION,
             "server": self.stats.to_json(),
             "cache": info._asdict(),
-            "cache_shards": [s._asdict() for s in self._cache.shard_info()],
             "plan_cache": plan_mod.plan_cache_info()._asdict(),
             "opstats": self.opstats.to_json(),
             "ready_mirror": len(self._ready),

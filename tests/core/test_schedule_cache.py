@@ -123,6 +123,45 @@ class TestScheduleCacheUnit:
         obj, hit, _ = cache.get_or_build(("k",), lambda: object())
         assert not hit and len(calls) == 1 and obj is not None
 
+    def test_failed_build_reaches_every_joined_caller(self):
+        """Callers joined on a failing build get its error; none of
+        them builds again (each would be a full certification under
+        verify_on_build)."""
+        cache = ScheduleCache()
+        calls = []
+        in_build = threading.Event()
+        release = threading.Event()
+        raised = []
+        lock = threading.Lock()
+
+        def bad():
+            calls.append(1)
+            in_build.set()
+            assert release.wait(timeout=10)
+            raise RuntimeError("boom")
+
+        def worker():
+            try:
+                cache.get_or_build(("k",), bad)
+            except RuntimeError:
+                with lock:
+                    raised.append(1)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        threads[0].start()
+        assert in_build.wait(timeout=10)
+        for t in threads[1:]:
+            t.start()
+        deadline = time.monotonic() + 5
+        while cache.info().hits < 3 and time.monotonic() < deadline:
+            time.sleep(0.005)  # until the other three have joined
+        release.set()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1
+        assert len(raised) == 4
+
 
 class TestKeying:
     def test_neighborhood_fingerprint_includes_shape(self):
@@ -400,39 +439,10 @@ class TestConcurrentRanks:
 
 
 class TestSharding:
-    def test_large_cache_is_sharded(self):
-        cache = ScheduleCache(maxsize=512)
-        assert cache.num_shards > 1
-        # shard bounds partition maxsize exactly
-        assert sum(s.maxsize for s in cache.shard_info()) == 512
-
-    def test_small_cache_collapses_to_one_shard(self):
-        assert ScheduleCache(maxsize=4).num_shards == 1
-
-    def test_explicit_shard_count_wins(self):
-        assert ScheduleCache(maxsize=8, shards=4).num_shards == 4
-
-    def test_counters_aggregate_across_shards(self):
-        cache = ScheduleCache(maxsize=512, shards=8)
-        for i in range(40):
-            cache.get_or_build(("key", i), lambda i=i: object())
-            cache.get_or_build(("key", i), lambda: object())
-        info = cache.info()
-        assert info.misses == 40
-        assert info.hits == 40
-        assert info.builds == 40
-        assert info.currsize == 40
-        assert info.shards == 8
-        shard_totals = cache.shard_info()
-        assert sum(s.currsize for s in shard_totals) == 40
-        assert sum(s.hits for s in shard_totals) == 40
-        # keys actually spread over more than one shard
-        assert sum(1 for s in shard_totals if s.currsize) > 1
-
     def test_distinct_keys_build_concurrently(self):
-        """With sharding, builds of different keys overlap in time (no
-        global lock serializes them)."""
-        cache = ScheduleCache(maxsize=512, shards=8)
+        """Builds of different keys overlap in time: they run outside
+        the cache's lock, so nothing serializes them."""
+        cache = ScheduleCache(maxsize=512)
         overlap = threading.Barrier(2, timeout=10)
 
         def build():
@@ -588,10 +598,10 @@ class TestEvictionRacingBuilds:
         )
         assert not hit
         assert len(sched._plans) == 1
-        generation = sched._plans_generation
+        generation = sched._plans.generation
         sched.clear_plans()
-        assert sched._plans == {}
-        assert sched._plans_generation == generation + 1
+        assert len(sched._plans) == 0
+        assert sched._plans.generation == generation + 1
         plan2, hit2 = plan_mod.get_or_compile_batched(
             sched, topo, sizes=byte_sizes
         )
